@@ -8,6 +8,8 @@
 //!     Program::grad(options)      reverse-mode AD (§5)
 //!     Program::schedule()         manual Table-1 transformations
 //!     Program::run(runtime, …)    instrumented execution
+//!     Program::prepare_compiled(engine, sizes)   native, prepare once,
+//!                                 then Executable::run many times
 //!     Program::emit_c() / emit_cuda()   backend source
 //! ```
 //!
@@ -31,10 +33,12 @@ use ft_autodiff::{AdError, GradOptions};
 use ft_autoschedule::Target;
 use ft_ir::Func;
 use ft_runtime::{
-    CompiledEngine, ExecutionEngine, RunResult, Runtime, RuntimeError, TensorVal, VmRuntime,
+    CompiledEngine, Executable, ExecutionEngine, RunResult, Runtime, RuntimeError, TensorVal,
+    VmRuntime,
 };
 use ft_trace::TraceSink;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A compiled FreeTensor program (an IR function plus pipeline operations).
 ///
@@ -277,6 +281,30 @@ impl Program {
         self.run_engine(engine, inputs, sizes)
     }
 
+    /// Prepare this program for repeated native execution at `sizes`:
+    /// plan, emit, compile (cache-aware) and load once through `engine`,
+    /// then call [`Executable::run`] per input set. Sink propagation
+    /// matches [`Program::run`].
+    ///
+    /// # Errors
+    ///
+    /// See [`CompiledEngine::prepare`].
+    pub fn prepare_compiled(
+        &self,
+        engine: &CompiledEngine,
+        sizes: &[(&str, i64)],
+    ) -> Result<Arc<Executable>, RuntimeError> {
+        let sizes: HashMap<String, i64> = sizes.iter().map(|(k, v)| (k.to_string(), *v)).collect();
+        match &self.sink {
+            Some(s) if engine.sink().is_none() => {
+                let mut e = engine.clone();
+                e.set_sink(Some(s.clone()));
+                e.prepare(&self.func, &sizes)
+            }
+            _ => engine.prepare(&self.func, &sizes),
+        }
+    }
+
     /// Emit C99 + OpenMP source for the current schedule.
     pub fn emit_c(&self) -> String {
         ft_codegen::emit_c_traced(&self.func, self.sink.as_ref())
@@ -307,6 +335,33 @@ mod tests {
             let out = fast.run(&rt, &[("x", x.clone())], &[]).unwrap();
             assert!(plain.output("y").allclose(out.output("y"), 1e-6));
         }
+    }
+
+    #[test]
+    fn prepared_executable_runs_many_times() {
+        if !ft_runtime::cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let p = Program::compile(
+            "def f(n: size, x: f32[n] in, y: f32[n] out):\n  for i in range(n):\n    y[i] = x[i] * 2 + 1\n",
+            "f",
+        )
+        .unwrap();
+        let dir = std::env::temp_dir().join(format!("ft-core-prepare-{}", std::process::id()));
+        let exe = p
+            .prepare_compiled(&CompiledEngine::with_cache_dir(&dir), &[("n", 4)])
+            .unwrap();
+        let mut ctx = exe.new_context();
+        for v in 0..3 {
+            let x = TensorVal::from_f32(&[4], vec![v as f32; 4]);
+            let out = exe
+                .run(&mut ctx, &HashMap::from([("x".to_string(), x)]))
+                .unwrap();
+            assert_eq!(out.output("y").to_f64_vec(), vec![2.0 * v as f64 + 1.0; 4]);
+            ctx.recycle(out).unwrap();
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

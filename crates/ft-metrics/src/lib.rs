@@ -159,6 +159,20 @@ struct Registry {
     histograms: Mutex<BTreeMap<String, Histogram>>,
 }
 
+/// The instrument named `name` in `map`, registering `make()` on first
+/// use. Lookups of registered names allocate nothing.
+fn instrument<T: Clone>(
+    map: &Mutex<BTreeMap<String, T>>,
+    name: &str,
+    make: impl FnOnce() -> T,
+) -> T {
+    let mut m = map.lock().unwrap();
+    if let Some(v) = m.get(name) {
+        return v.clone();
+    }
+    m.entry(name.to_string()).or_insert_with(make).clone()
+}
+
 /// A cheap-to-clone handle on a metrics registry. All clones observe the
 /// same instruments; drop every clone and the registry is gone — there is
 /// no global fallback.
@@ -175,26 +189,23 @@ impl Metrics {
 
     /// The counter named `name`, registering it at zero on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.inner.counters.lock().unwrap();
-        m.entry(name.to_string())
-            .or_insert_with(|| Counter(Arc::new(AtomicU64::new(0))))
-            .clone()
+        instrument(&self.inner.counters, name, || {
+            Counter(Arc::new(AtomicU64::new(0)))
+        })
     }
 
     /// The gauge named `name`, registering it at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.inner.gauges.lock().unwrap();
-        m.entry(name.to_string())
-            .or_insert_with(|| Gauge(Arc::new(AtomicI64::new(0))))
-            .clone()
+        instrument(&self.inner.gauges, name, || {
+            Gauge(Arc::new(AtomicI64::new(0)))
+        })
     }
 
     /// The histogram named `name`, registering it empty on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        let mut m = self.inner.histograms.lock().unwrap();
-        m.entry(name.to_string())
-            .or_insert_with(|| Histogram(Arc::new(HistogramCore::new())))
-            .clone()
+        instrument(&self.inner.histograms, name, || {
+            Histogram(Arc::new(HistogramCore::new()))
+        })
     }
 
     /// Freeze every instrument into a point-in-time snapshot with

@@ -315,12 +315,12 @@ pub(crate) struct NativeArena {
 }
 
 impl NativeArena {
-    pub(crate) fn new(plan: &MemPlan) -> NativeArena {
-        let bytes = plan.planned_peak_bytes as usize;
-        let buf = vec![0u8; bytes + ARENA_ALIGN as usize];
+    /// An arena of `planned_peak_bytes` for the plan hashing to `plan_hash`.
+    pub(crate) fn new(plan_hash: u64, planned_peak_bytes: u64) -> NativeArena {
+        let buf = vec![0u8; planned_peak_bytes as usize + ARENA_ALIGN as usize];
         let pad = buf.as_ptr().align_offset(ARENA_ALIGN as usize);
         NativeArena {
-            plan_hash: plan.plan_hash(),
+            plan_hash,
             buf,
             pad,
         }
@@ -346,7 +346,7 @@ impl NativeArena {
 /// memory-plan hash, a signature of the parameter shapes/sizes, and the
 /// expected output set — the facts every later run and recycle must match.
 #[derive(Debug, Clone)]
-struct CtxBinding {
+pub(crate) struct CtxBinding {
     func_name: String,
     plan_hash: u64,
     shape_sig: u64,
@@ -390,6 +390,19 @@ fn shape_sig(func: &Func, sizes: &HashMap<String, i64>) -> u64 {
         }
     }
     h
+}
+
+impl CtxBinding {
+    /// The binding a run of `func` at `sizes` under `plan` commits a
+    /// context to.
+    pub(crate) fn new(func: &Func, sizes: &HashMap<String, i64>, plan: &MemPlan) -> CtxBinding {
+        CtxBinding {
+            func_name: func.name.clone(),
+            plan_hash: plan.plan_hash(),
+            shape_sig: shape_sig(func, sizes),
+            outputs: output_sig(func, sizes),
+        }
+    }
 }
 
 /// The bound program's output signature: every Output/InOut parameter with
@@ -561,28 +574,37 @@ impl RunContext {
         sizes: &HashMap<String, i64>,
         plan: &MemPlan,
     ) -> Result<(), RuntimeError> {
+        self.bind(&CtxBinding::new(func, sizes, plan))
+    }
+
+    /// [`ensure_bound`](RunContext::ensure_bound) against a precomputed
+    /// binding. Checking an existing binding compares two hashes and
+    /// allocates nothing.
+    pub(crate) fn bind(&mut self, want: &CtxBinding) -> Result<(), RuntimeError> {
         if self.poisoned {
             self.reset();
             self.stats.poison_resets += 1;
         }
-        let sig = shape_sig(func, sizes);
         match &self.binding {
             None => {
-                self.binding = Some(CtxBinding {
-                    func_name: func.name.clone(),
-                    plan_hash: plan.plan_hash(),
-                    shape_sig: sig,
-                    outputs: output_sig(func, sizes),
-                });
+                self.binding = Some(want.clone());
                 Ok(())
             }
-            Some(b) if b.plan_hash == plan.plan_hash() && b.shape_sig == sig => Ok(()),
+            Some(b) if b.plan_hash == want.plan_hash && b.shape_sig == want.shape_sig => Ok(()),
             Some(b) => Err(RuntimeError::ContextMismatch {
                 bound_func: b.func_name.clone(),
                 bound_plan_hash: b.plan_hash,
-                requested_func: func.name.clone(),
-                requested_plan_hash: plan.plan_hash(),
+                requested_func: want.func_name.clone(),
+                requested_plan_hash: want.plan_hash,
             }),
+        }
+    }
+
+    /// A fresh context already bound to `binding`.
+    pub(crate) fn bound_to(binding: &CtxBinding) -> RunContext {
+        RunContext {
+            binding: Some(binding.clone()),
+            ..RunContext::default()
         }
     }
 
@@ -609,16 +631,20 @@ impl RunContext {
         self.threaded_pool.as_ref().expect("just filled").clone()
     }
 
-    /// The compiled engine's flat arena for `plan`, rebuilt on plan change.
-    /// Counts a fresh allocation (vs a reuse hit) in the staging stats.
-    pub(crate) fn native_arena_for(&mut self, plan: &MemPlan) -> &mut NativeArena {
-        let hash = plan.plan_hash();
+    /// The compiled engine's flat arena of `planned_peak_bytes` for the
+    /// plan hashing to `plan_hash`, rebuilt on plan change. Counts a fresh
+    /// allocation (vs a reuse hit) in the staging stats.
+    pub(crate) fn native_arena_for(
+        &mut self,
+        plan_hash: u64,
+        planned_peak_bytes: u64,
+    ) -> &mut NativeArena {
         match &self.native_arena {
-            Some(a) if a.plan_hash() == hash => self.stats.hit(),
+            Some(a) if a.plan_hash() == plan_hash => self.stats.hit(),
             prev => {
                 let freed = prev.as_ref().map_or(0, NativeArena::bytes);
                 self.stats.bytes_held = self.stats.bytes_held.saturating_sub(freed);
-                let a = NativeArena::new(plan);
+                let a = NativeArena::new(plan_hash, planned_peak_bytes);
                 self.stats.miss(a.bytes());
                 self.native_arena = Some(a);
             }

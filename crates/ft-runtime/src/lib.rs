@@ -54,7 +54,7 @@ pub use device::DeviceConfig;
 pub use engine::{ExecutionEngine, ThreadedEngine};
 pub use error::RuntimeError;
 pub use interp::{RunResult, Runtime};
-pub use native::{cc_available, CompiledEngine};
+pub use native::{cc_available, CompiledEngine, Executable};
 pub use pool::{PoolStatsSnapshot, WorkerPool};
 pub use process::{output_with_timeout, TimedOutput};
 pub use threaded::{run_threaded, run_threaded_traced};

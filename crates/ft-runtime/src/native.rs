@@ -6,10 +6,18 @@
 //! tensor buffers — no interpreter dispatch, no child-process
 //! stdout-parsing protocol. Compilation cost is paid once per distinct
 //! (source, flags) pair: artifacts live in a content-addressed on-disk
-//! cache (`target/ft-cache/<hash>.{c,so}`), and loaded objects are
-//! additionally memoized in-process, so repeat traffic — autoschedule
+//! cache (`target/ft-cache/<hash>.{c,so}`), so repeat traffic — autoschedule
 //! search loops, conformance sweeps, warm benchmarks — spawns zero
 //! compiler processes.
+//!
+//! Prepare once, run many: [`CompiledEngine::prepare`] does all of a
+//! program's per-`(program, sizes)` work once — memory planning, C
+//! emission, hashing, the cache-aware build and `dlopen` — and returns an
+//! [`Executable`] whose [`run`](Executable::run) only binds parameters,
+//! calls the kernel and collects outputs. Engines keep a bounded memo of
+//! prepared executables keyed by the program (structural equality) and its
+//! size bindings, so [`ExecutionEngine::run`]/`run_with` are a memo lookup
+//! followed by that same run.
 //!
 //! Cache key: FNV-1a over the complete emitted translation unit (which
 //! already embodies the program *and* its schedule — scheduling rewrites
@@ -23,13 +31,13 @@
 //! keeps the compiler from fusing multiply-adds so the difference stays
 //! bounded by that rounding story.
 
+use crate::arena::{CtxBinding, RunContext};
 use crate::counters::PerfCounters;
 use crate::engine::ExecutionEngine;
 use crate::error::RuntimeError;
 use crate::interp::RunResult;
 use crate::process::output_with_timeout;
 use crate::value::TensorVal;
-use crate::arena::RunContext;
 use ft_analysis::MemPlan;
 use ft_codegen::{c_symbols, emit_c_planned, ProfSite};
 use ft_ir::{AccessType, BinaryOp, DataType, Expr, Func};
@@ -72,27 +80,140 @@ pub fn cc_available() -> bool {
     })
 }
 
-/// A loaded kernel: the shared object plus its resolved entry point. The
-/// library handle is held for as long as the function pointer may be
-/// called.
-struct LoadedKernel {
+/// Prepared executables an engine (and its clones) keeps. Past this the
+/// least recently used one leaves the memo, counted as
+/// `compiled.prepared.evicted`; handles callers still hold stay valid.
+const PREPARED_CAP: usize = 64;
+
+/// Everything about one `(program, sizes)` pair that stays the same from
+/// run to run: the loaded kernel, the size values and parameter shapes,
+/// the arena geometry and the context binding. The emitted C source is not
+/// kept. The library handle lives as long as the entry point may be called.
+struct PreparedKernel {
+    func_name: String,
     entry: EntryFn,
     /// Profiling site table of a profiled build (slot `k` of the prof array
     /// maps to `sites[k]`); empty for unprofiled builds.
     sites: Vec<ProfSite>,
+    /// The artifact cache key.
+    hash: u64,
+    /// Size-parameter values in declaration order, as `ft_entry` takes them.
+    size_vals: Vec<i64>,
+    params: Vec<ParamSlot>,
+    plan_hash: u64,
+    arena_bytes: u64,
+    run_peak_bytes: u64,
+    binding: CtxBinding,
     _lib: libloading::Library,
 }
 
-/// Shared state behind [`CompiledEngine`] clones: the in-process memo of
-/// loaded kernels.
-#[derive(Default)]
-struct EngineState {
-    loaded: Mutex<HashMap<u64, Arc<LoadedKernel>>>,
+/// A tensor parameter with its shape resolved at the prepared sizes.
+struct ParamSlot {
+    name: String,
+    dtype: DataType,
+    atype: AccessType,
+    shape: Vec<usize>,
 }
 
-/// The compiled execution engine. Cheap to clone (clones share the loaded
-/// kernel memo); construction does not touch the filesystem — everything
-/// is lazy until the first [`ExecutionEngine::run`].
+/// A program prepared for repeated execution by [`CompiledEngine::prepare`]:
+/// planned, emitted, compiled and loaded once. [`run`](Executable::run)
+/// only binds parameters, calls the kernel and collects outputs. It reports
+/// into the trace sink and metrics of the engine that prepared it.
+pub struct Executable {
+    kernel: Arc<PreparedKernel>,
+    sink: Option<TraceSink>,
+    metrics: Option<Metrics>,
+}
+
+impl std::fmt::Debug for Executable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Executable")
+            .field("func", &self.kernel.func_name)
+            .field("hash", &format_args!("{:016x}", self.kernel.hash))
+            .finish_non_exhaustive()
+    }
+}
+
+impl Executable {
+    /// A fresh [`RunContext`] already bound to this executable.
+    pub fn new_context(&self) -> RunContext {
+        RunContext::bound_to(&self.kernel.binding)
+    }
+
+    /// Run on `inputs`, drawing arena and staging buffers from `ctx`.
+    ///
+    /// # Errors
+    ///
+    /// [`RuntimeError::ContextMismatch`] when `ctx` is bound to another
+    /// program; missing or mis-shaped inputs.
+    pub fn run(
+        &self,
+        ctx: &mut RunContext,
+        inputs: &HashMap<String, TensorVal>,
+    ) -> Result<RunResult, RuntimeError> {
+        let t0 = self.metrics.as_ref().map(|_| Instant::now());
+        let r = self.kernel.run(
+            Some(&mut *ctx),
+            inputs,
+            self.sink.as_ref(),
+            self.metrics.as_ref(),
+        );
+        if let Err(e) = &r {
+            ctx.poison_on(e);
+        }
+        observe_run(self.metrics.as_ref(), t0, &r);
+        r
+    }
+
+    /// The name of the prepared function.
+    pub fn name(&self) -> &str {
+        &self.kernel.func_name
+    }
+
+    /// Planned peak bytes of one run: arena plus parameter buffers (see
+    /// [`MemPlan::run_peak_bytes`]).
+    pub fn run_peak_bytes(&self) -> u64 {
+        self.kernel.run_peak_bytes
+    }
+}
+
+/// Record one run's `engine.compiled.run_us` (and `errors`) in `metrics`.
+fn observe_run<T>(metrics: Option<&Metrics>, t0: Option<Instant>, r: &Result<T, RuntimeError>) {
+    if let (Some(m), Some(t0)) = (metrics, t0) {
+        m.histogram("engine.compiled.run_us")
+            .record_duration_us(t0.elapsed());
+        if r.is_err() {
+            m.counter("engine.compiled.errors").inc();
+        }
+    }
+}
+
+/// The outcome of preparing one memo key, filled exactly once; concurrent
+/// preparers of the same key wait on it.
+type PrepareCell = Arc<OnceLock<Result<Arc<PreparedKernel>, RuntimeError>>>;
+
+/// One memo entry: the key (program, size bindings, profiling) it was
+/// prepared for.
+struct MemoSlot {
+    func: Func,
+    sizes: HashMap<String, i64>,
+    profile: bool,
+    cell: PrepareCell,
+    last_use: u64,
+}
+
+/// The bounded memo of prepared executables that [`CompiledEngine`] clones
+/// share, least recently used first out.
+#[derive(Default)]
+struct Memo {
+    slots: Vec<MemoSlot>,
+    clock: u64,
+}
+
+/// The compiled execution engine. Cheap to clone (clones share the memo of
+/// prepared executables); construction does not touch the filesystem —
+/// everything is lazy until the first [`prepare`](CompiledEngine::prepare)
+/// or [`ExecutionEngine::run`].
 #[derive(Clone)]
 pub struct CompiledEngine {
     cache_dir: PathBuf,
@@ -102,7 +223,7 @@ pub struct CompiledEngine {
     /// Emit per-loop-nest timing hooks into generated C and publish a
     /// [`RunProfile`] per run. Defaults from the `FT_PROFILE` env var.
     profile: bool,
-    state: Arc<EngineState>,
+    memo: Arc<Mutex<Memo>>,
 }
 
 impl std::fmt::Debug for CompiledEngine {
@@ -162,11 +283,12 @@ fn cache_size_bytes(dir: &Path) -> u64 {
         .unwrap_or(0)
 }
 
-/// 64-bit FNV-1a — stable across processes and Rust versions, unlike
-/// `DefaultHasher`, so on-disk keys survive toolchain bumps.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// 64-bit FNV-1a over the concatenation of `parts` — stable across
+/// processes and Rust versions, unlike `DefaultHasher`, so on-disk keys
+/// survive toolchain bumps.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
+    for &b in parts.iter().flat_map(|p| p.iter()) {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -184,7 +306,7 @@ struct Flight {
 
 /// Process-wide singleflight table: at most one thread per cache key is
 /// compiling at any moment, regardless of how many `CompiledEngine` values
-/// (each with its own in-memory memo) exist. Entries live only while a
+/// (each with its own memo) exist. Entries live only while a
 /// compile is in flight.
 fn flights() -> &'static Mutex<HashMap<u64, Arc<Flight>>> {
     static FLIGHTS: OnceLock<Mutex<HashMap<u64, Arc<Flight>>>> = OnceLock::new();
@@ -293,7 +415,7 @@ impl CompiledEngine {
             sink: None,
             metrics: None,
             profile: profile_env_enabled(),
-            state: Arc::new(EngineState::default()),
+            memo: Arc::default(),
         }
     }
 
@@ -463,27 +585,152 @@ impl CompiledEngine {
         Err(RuntimeError::Native(format!("cc failed:\n{last_err}")))
     }
 
-    /// Emit + (cache-aware) compile + load the kernel for `func` under
-    /// `plan`. The plan hash participates in the cache key (belt and
-    /// braces — planned offsets are already baked into the source).
-    fn kernel_for(&self, func: &Func, plan: &MemPlan) -> Result<Arc<LoadedKernel>, RuntimeError> {
-        let (src, sites) = self.source_for(func, plan);
-        let mut key = src.clone().into_bytes();
-        key.push(0);
-        key.extend_from_slice(CC_FLAGS.as_bytes());
-        key.push(0);
-        key.extend_from_slice(&ABI_VERSION.to_le_bytes());
-        key.extend_from_slice(&plan.plan_hash().to_le_bytes());
-        let hash = fnv1a(&key);
-        if let Some(k) = self.state.loaded.lock().get(&hash) {
-            self.note_cache(hash, true);
-            return Ok(Arc::clone(k));
+    /// The prepared executable for `func` at `sizes`, from the memo or
+    /// built (once, however many threads ask at the same time).
+    fn prepared(
+        &self,
+        func: &Func,
+        sizes: &HashMap<String, i64>,
+    ) -> Result<Arc<PreparedKernel>, RuntimeError> {
+        let cell = {
+            let mut memo = self.memo.lock();
+            memo.clock += 1;
+            let now = memo.clock;
+            let hit = memo
+                .slots
+                .iter()
+                .position(|s| s.profile == self.profile && s.sizes == *sizes && s.func == *func);
+            match hit {
+                Some(i) => {
+                    memo.slots[i].last_use = now;
+                    Arc::clone(&memo.slots[i].cell)
+                }
+                None => {
+                    if memo.slots.len() >= PREPARED_CAP {
+                        let lru = (0..memo.slots.len())
+                            .min_by_key(|&i| memo.slots[i].last_use)
+                            .expect("a full memo has slots");
+                        memo.slots.swap_remove(lru);
+                        if let Some(m) = &self.metrics {
+                            m.counter("compiled.prepared.evicted").inc();
+                        }
+                    }
+                    let cell = PrepareCell::default();
+                    memo.slots.push(MemoSlot {
+                        func: func.clone(),
+                        sizes: sizes.clone(),
+                        profile: self.profile,
+                        cell: Arc::clone(&cell),
+                        last_use: now,
+                    });
+                    cell
+                }
+            }
+        };
+        let mut built = false;
+        match cell.get_or_init(|| {
+            built = true;
+            self.build(func, sizes)
+        }) {
+            Ok(k) => {
+                if !built {
+                    self.note_cache(k.hash, true);
+                }
+                Ok(Arc::clone(k))
+            }
+            Err(e) => {
+                // Forget the failure so the next request retries.
+                if built {
+                    self.memo
+                        .lock()
+                        .slots
+                        .retain(|s| !Arc::ptr_eq(&s.cell, &cell));
+                }
+                Err(e.clone())
+            }
         }
+    }
+
+    /// Prepare `func` at `sizes` from scratch: resolve sizes and shapes,
+    /// plan memory, emit and hash the C source, build (or find) and load
+    /// the artifact. Counted as `compiled.prepare`.
+    fn build(
+        &self,
+        func: &Func,
+        sizes: &HashMap<String, i64>,
+    ) -> Result<Arc<PreparedKernel>, RuntimeError> {
+        if let Some(m) = &self.metrics {
+            m.counter("compiled.prepare").inc();
+        }
+        let size_vals = func
+            .size_params
+            .iter()
+            .map(|sp| {
+                sizes
+                    .get(sp)
+                    .copied()
+                    .ok_or_else(|| RuntimeError::UnresolvedSize(sp.clone()))
+            })
+            .collect::<Result<_, _>>()?;
+        let params = func
+            .params
+            .iter()
+            .map(|p| {
+                let shape = p
+                    .shape
+                    .iter()
+                    .map(|e| {
+                        let v = eval_extent(e, sizes)?;
+                        usize::try_from(v).map_err(|_| RuntimeError::UnresolvedSize(p.name.clone()))
+                    })
+                    .collect::<Result<_, _>>()?;
+                Ok(ParamSlot {
+                    name: p.name.clone(),
+                    dtype: p.dtype,
+                    atype: p.atype,
+                    shape,
+                })
+            })
+            .collect::<Result<_, RuntimeError>>()?;
+        let plan = MemPlan::plan(func, sizes);
+        crate::arena::publish_plan(self.sink.as_ref(), self.metrics.as_ref(), &func.name, &plan);
+        let (src, sites) = self.source_for(func, &plan);
+        // The plan hash participates in the key (belt and braces — planned
+        // offsets are already baked into the source).
+        let hash = fnv1a(&[
+            src.as_bytes(),
+            b"\0",
+            CC_FLAGS.as_bytes(),
+            b"\0",
+            &ABI_VERSION.to_le_bytes(),
+            &plan.plan_hash().to_le_bytes(),
+        ]);
+        let lib = self.load_artifact(&src, hash)?;
+        // SAFETY: ft_entry's type is fixed by ABI_VERSION, which
+        // participates in the key.
+        let entry = *unsafe { lib.get::<EntryFn>(b"ft_entry\0") }
+            .map_err(|e| RuntimeError::Native(format!("resolve ft_entry: {e}")))?;
+        Ok(Arc::new(PreparedKernel {
+            func_name: func.name.clone(),
+            entry,
+            sites,
+            hash,
+            size_vals,
+            params,
+            plan_hash: plan.plan_hash(),
+            arena_bytes: plan.planned_peak_bytes,
+            run_peak_bytes: plan.run_peak_bytes(func, sizes),
+            binding: CtxBinding::new(func, sizes, &plan),
+            _lib: lib,
+        }))
+    }
+
+    /// Find or build the artifact for `src` (cache key `hash`) and load it.
+    fn load_artifact(&self, src: &str, hash: u64) -> Result<libloading::Library, RuntimeError> {
         let so_path = self.cache_dir.join(format!("{hash:016x}.so"));
-        // Miss in the in-memory memo: settle who compiles. Any number of
-        // engines/threads/processes may want this key at once; exactly one
-        // `cc` must be spawned (the thundering-herd bug this replaces spawned
-        // one per engine). Leaders compile under a per-key singleflight entry
+        // Settle who compiles. Any number of engines/threads/processes may
+        // want this key at once; exactly one `cc` must be spawned (the
+        // thundering-herd bug this replaces spawned one per engine). Leaders compile under a per-key singleflight entry
         // plus a cross-process file lock; followers park, then re-check the
         // published artifact — and take over as leader if their leader failed.
         loop {
@@ -503,7 +750,7 @@ impl CompiledEngine {
                 }
             };
             if leader {
-                let r = self.build_locked(&src, hash, &so_path);
+                let r = self.build_locked(src, hash, &so_path);
                 *flight.done.lock().unwrap() = true;
                 flight.cv.notify_all();
                 flights().lock().remove(&hash);
@@ -527,25 +774,78 @@ impl CompiledEngine {
                 // (each waiter leads at most once before erroring itself).
             }
         }
+        pin_openmp_runtime();
         // SAFETY: the object was produced by our own emitter + cc (or is a
-        // cache entry keyed by the full source), and ft_entry's type is
-        // fixed by ABI_VERSION which participates in the key.
-        let lib = unsafe { libloading::Library::new(&so_path) }
-            .map_err(|e| RuntimeError::Native(format!("load {}: {e}", so_path.display())))?;
-        let entry = unsafe { lib.get::<EntryFn>(b"ft_entry\0") }
-            .map_err(|e| RuntimeError::Native(format!("resolve ft_entry: {e}")))?;
-        let kernel = Arc::new(LoadedKernel {
-            entry: *entry,
-            sites,
-            _lib: lib,
-        });
-        self.state.loaded.lock().insert(hash, Arc::clone(&kernel));
-        Ok(kernel)
+        // cache entry keyed by the full source).
+        unsafe { libloading::Library::new(&so_path) }
+            .map_err(|e| RuntimeError::Native(format!("load {}: {e}", so_path.display())))
     }
 }
 
 const CC_FLAGS: &str = "-O2 -fPIC -shared -ffp-contract=off -fopenmp";
 const CC_FLAGS_SERIAL: &str = "-O2 -fPIC -shared -ffp-contract=off";
+
+/// Keep the OpenMP runtime loaded for the rest of the process. Kernels
+/// built with `-fopenmp` pull in `libgomp`; if `dlclose` of the last such
+/// kernel unloaded it, its worker threads — still spinning after the last
+/// parallel region — would run unmapped code and crash the process.
+/// Loading it once with `RTLD_NODELETE` before the first kernel makes every
+/// later unload a no-op. Does nothing where the library is absent (the
+/// serial-fallback toolchain) or off Linux.
+fn pin_openmp_runtime() {
+    static PINNED: OnceLock<()> = OnceLock::new();
+    PINNED.get_or_init(|| {
+        #[cfg(target_os = "linux")]
+        {
+            extern "C" {
+                fn dlopen(filename: *const std::ffi::c_char, flags: i32) -> *mut c_void;
+            }
+            const RTLD_NOW: i32 = 2;
+            const RTLD_NODELETE: i32 = 0x1000;
+            // SAFETY: loading the system OpenMP runtime runs only its own
+            // initializers; the handle is deliberately never closed.
+            unsafe { dlopen(c"libgomp.so.1".as_ptr(), RTLD_NOW | RTLD_NODELETE) };
+        }
+    });
+}
+
+impl CompiledEngine {
+    /// Prepare `func` at `sizes` for repeated execution: memory planning,
+    /// C emission, hashing, the cache-aware build and `dlopen`, done once
+    /// per `(func, sizes)` and memoized. The returned [`Executable`]
+    /// reports into this engine's sink and metrics.
+    ///
+    /// # Errors
+    ///
+    /// Unresolvable sizes, toolchain failures ([`RuntimeError::Native`],
+    /// [`RuntimeError::ChildTimeout`]).
+    pub fn prepare(
+        &self,
+        func: &Func,
+        sizes: &HashMap<String, i64>,
+    ) -> Result<Arc<Executable>, RuntimeError> {
+        Ok(Arc::new(Executable {
+            kernel: self.prepared(func, sizes)?,
+            sink: self.sink.clone(),
+            metrics: self.metrics.clone(),
+        }))
+    }
+
+    fn run_inner(
+        &self,
+        func: &Func,
+        inputs: &HashMap<String, TensorVal>,
+        sizes: &HashMap<String, i64>,
+        ctx: Option<&mut RunContext>,
+    ) -> Result<RunResult, RuntimeError> {
+        let t0 = self.metrics.as_ref().map(|_| Instant::now());
+        let r = self
+            .prepared(func, sizes)
+            .and_then(|k| k.run(ctx, inputs, self.sink.as_ref(), self.metrics.as_ref()));
+        observe_run(self.metrics.as_ref(), t0, &r);
+        r
+    }
+}
 
 impl ExecutionEngine for CompiledEngine {
     fn name(&self) -> &'static str {
@@ -558,16 +858,7 @@ impl ExecutionEngine for CompiledEngine {
         inputs: &HashMap<String, TensorVal>,
         sizes: &HashMap<String, i64>,
     ) -> Result<RunResult, RuntimeError> {
-        let t0 = self.metrics.as_ref().map(|_| Instant::now());
-        let r = self.run_inner(func, inputs, sizes, None);
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.histogram("engine.compiled.run_us")
-                .record_duration_us(t0.elapsed());
-            if r.is_err() {
-                m.counter("engine.compiled.errors").inc();
-            }
-        }
-        r
+        self.run_inner(func, inputs, sizes, None)
     }
 
     fn run_with(
@@ -577,17 +868,9 @@ impl ExecutionEngine for CompiledEngine {
         sizes: &HashMap<String, i64>,
         ctx: &mut RunContext,
     ) -> Result<RunResult, RuntimeError> {
-        let t0 = self.metrics.as_ref().map(|_| Instant::now());
         let r = self.run_inner(func, inputs, sizes, Some(&mut *ctx));
         if let Err(e) = &r {
             ctx.poison_on(e);
-        }
-        if let (Some(m), Some(t0)) = (&self.metrics, t0) {
-            m.histogram("engine.compiled.run_us")
-                .record_duration_us(t0.elapsed());
-            if r.is_err() {
-                m.counter("engine.compiled.errors").inc();
-            }
         }
         r
     }
@@ -609,34 +892,25 @@ impl ExecutionEngine for CompiledEngine {
     }
 }
 
-impl CompiledEngine {
-    fn run_inner(
+impl PreparedKernel {
+    /// Bind, call, collect: the whole per-run work of a prepared kernel.
+    fn run(
         &self,
-        func: &Func,
-        inputs: &HashMap<String, TensorVal>,
-        sizes: &HashMap<String, i64>,
         mut rctx: Option<&mut RunContext>,
+        inputs: &HashMap<String, TensorVal>,
+        sink: Option<&TraceSink>,
+        metrics: Option<&Metrics>,
     ) -> Result<RunResult, RuntimeError> {
-        let plan = MemPlan::plan(func, sizes);
         if let Some(c) = rctx.as_deref_mut() {
-            c.ensure_bound(func, sizes, &plan)?;
+            c.bind(&self.binding)?;
         }
-        crate::arena::publish_plan(self.sink.as_ref(), self.metrics.as_ref(), &func.name, &plan);
-        let kernel = self.kernel_for(func, &plan)?;
-        let mut span = self
-            .sink
-            .as_ref()
-            .map(|s| s.span_on(TRACK_RUNTIME, "runtime", &format!("compiled {}", func.name)));
-        let size_vals: Vec<i64> = func
-            .size_params
-            .iter()
-            .map(|sp| {
-                sizes
-                    .get(sp)
-                    .copied()
-                    .ok_or_else(|| RuntimeError::UnresolvedSize(sp.clone()))
-            })
-            .collect::<Result<_, _>>()?;
+        let mut span = sink.map(|s| {
+            s.span_on(
+                TRACK_RUNTIME,
+                "runtime",
+                &format!("compiled {}", self.func_name),
+            )
+        });
         // Bind parameters with the interpreter's semantics: Input borrowed
         // read-only, InOut copied in (and returned), Output zeroed. The
         // kernel reads Input buffers through const pointers; owned InOut/
@@ -645,25 +919,17 @@ impl CompiledEngine {
             Borrowed(&'a TensorVal),
             Owned(TensorVal),
         }
-        let mut bound: Vec<Bound<'_>> = Vec::with_capacity(func.params.len());
-        for p in &func.params {
-            let shape: Vec<usize> = p
-                .shape
-                .iter()
-                .map(|e| {
-                    let v = eval_extent(e, sizes)?;
-                    usize::try_from(v).map_err(|_| RuntimeError::UnresolvedSize(p.name.clone()))
-                })
-                .collect::<Result<_, _>>()?;
+        let mut bound: Vec<Bound<'_>> = Vec::with_capacity(self.params.len());
+        for p in &self.params {
             let b = match p.atype {
                 AccessType::Input | AccessType::InOut => {
                     let t = inputs
                         .get(&p.name)
                         .ok_or_else(|| RuntimeError::MissingInput(p.name.clone()))?;
-                    if t.shape() != shape.as_slice() {
+                    if t.shape() != p.shape.as_slice() {
                         return Err(RuntimeError::ShapeMismatch {
                             name: p.name.clone(),
-                            expected: shape,
+                            expected: p.shape.clone(),
                             actual: t.shape().to_vec(),
                         });
                     }
@@ -693,8 +959,8 @@ impl CompiledEngine {
                 // Output (and InOut) are returned.
                 AccessType::Output | AccessType::Cache => {
                     let owned = match rctx.as_deref_mut() {
-                        Some(c) => c.staged_zeros(&p.name, p.dtype, &shape, true),
-                        None => TensorVal::zeros(p.dtype, &shape),
+                        Some(c) => c.staged_zeros(&p.name, p.dtype, &p.shape, true),
+                        None => TensorVal::zeros(p.dtype, &p.shape),
                     };
                     Bound::Owned(owned)
                 }
@@ -711,7 +977,7 @@ impl CompiledEngine {
                 Bound::Owned(t) => t.as_mut_ptr_untyped(),
             })
             .collect();
-        let mut prof_buf: Vec<u64> = vec![0; kernel.sites.len()];
+        let mut prof_buf: Vec<u64> = vec![0; self.sites.len()];
         let prof_ptr = if prof_buf.is_empty() {
             std::ptr::null_mut()
         } else {
@@ -720,7 +986,7 @@ impl CompiledEngine {
         // A RunContext preallocates the plan's arena once and hands the
         // same block to every call; without one the kernel mallocs its own.
         let arena_ptr: *mut c_void = match rctx.as_deref_mut() {
-            Some(c) => c.native_arena_for(&plan).ptr() as *mut c_void,
+            Some(c) => c.native_arena_for(self.plan_hash, self.arena_bytes).ptr() as *mut c_void,
             None => std::ptr::null_mut(),
         };
         let call_t0 = Instant::now();
@@ -730,16 +996,23 @@ impl CompiledEngine {
         // NULL or points at planned_peak_bytes of storage for the plan the
         // kernel was emitted from; prof_ptr is NULL or points at
         // sites.len() slots, matching the profiled build.
-        unsafe { (kernel.entry)(ptrs.as_mut_ptr(), size_vals.as_ptr(), arena_ptr, prof_ptr) };
+        unsafe {
+            (self.entry)(
+                ptrs.as_mut_ptr(),
+                self.size_vals.as_ptr(),
+                arena_ptr,
+                prof_ptr,
+            )
+        };
         let call_ns = call_t0.elapsed().as_nanos() as u64;
-        if let Some(m) = &self.metrics {
+        if let Some(m) = metrics {
             m.histogram("engine.compiled.kernel_us").record(call_ns / 1000);
         }
-        if !kernel.sites.is_empty() {
-            self.publish_profile(func, &kernel.sites, &prof_buf, call_ns);
+        if !self.sites.is_empty() {
+            self.publish_profile(sink, metrics, &prof_buf, call_ns);
         }
         let mut outputs = HashMap::new();
-        for (p, b) in func.params.iter().zip(bound) {
+        for (p, b) in self.params.iter().zip(bound) {
             if !matches!(p.atype, AccessType::Output | AccessType::InOut) {
                 continue;
             }
@@ -758,9 +1031,9 @@ impl CompiledEngine {
             outputs.insert(p.name.clone(), t);
         }
         if let Some(sp) = span.as_mut() {
-            sp.arg("params", func.params.len());
+            sp.arg("params", self.params.len());
         }
-        if let (Some(m), Some(c)) = (&self.metrics, rctx) {
+        if let (Some(m), Some(c)) = (metrics, rctx) {
             crate::arena::flush_stats(m, &mut c.stats);
         }
         Ok(RunResult {
@@ -776,23 +1049,29 @@ impl CompiledEngine {
     /// the out-of-loop remainder, so `totals()` equals the entry-call wall
     /// time. Site times are also summed into the `compiled.prof.site_ns`
     /// counter for metrics-only consumers.
-    fn publish_profile(&self, func: &Func, sites: &[ProfSite], times_ns: &[u64], call_ns: u64) {
+    fn publish_profile(
+        &self,
+        sink: Option<&TraceSink>,
+        metrics: Option<&Metrics>,
+        times_ns: &[u64],
+        call_ns: u64,
+    ) {
         let in_loops: u64 = times_ns.iter().sum();
-        if let Some(m) = &self.metrics {
+        if let Some(m) = metrics {
             m.counter("compiled.prof.site_ns").add(in_loops);
             m.counter("compiled.prof.call_ns").add(call_ns);
         }
-        let Some(sink) = &self.sink else { return };
+        let Some(sink) = sink else { return };
         let mut nodes = vec![ProfileNode {
             stmt: None,
-            desc: func.name.clone(),
+            desc: self.func_name.clone(),
             parent: None,
             counters: StmtCounters {
                 cycles: call_ns.saturating_sub(in_loops) as f64,
                 ..StmtCounters::default()
             },
         }];
-        for (site, &ns) in sites.iter().zip(times_ns) {
+        for (site, &ns) in self.sites.iter().zip(times_ns) {
             nodes.push(ProfileNode {
                 stmt: Some(site.stmt),
                 desc: site.desc.clone(),
@@ -805,7 +1084,7 @@ impl CompiledEngine {
             });
         }
         sink.profile(RunProfile {
-            func: func.name.clone(),
+            func: self.func_name.clone(),
             nodes,
         });
     }
@@ -1079,6 +1358,160 @@ mod tests {
         let eng = CompiledEngine::with_cache_dir(tmp_cache("zero"));
         let r = eng.run(&f, &HashMap::new(), &HashMap::new()).expect("runs");
         assert_eq!(r.output("o").to_f64_vec(), vec![0.0, 7.0, 0.0, 0.0]);
+    }
+
+    /// Prepare once, run many: repeated runs, a structurally equal clone
+    /// of the program and a handle from `prepare` all share one prepared
+    /// executable; other sizes prepare anew. Every path returns the same
+    /// bits.
+    #[test]
+    fn runs_share_one_prepare_per_program_and_sizes() {
+        if !cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let m = Metrics::new();
+        let mut eng = CompiledEngine::with_cache_dir(tmp_cache("prepare"));
+        eng.set_metrics(Some(m.clone()));
+        let inputs = |n: usize| {
+            HashMap::from([
+                ("x".to_string(), TensorVal::from_f32(&[n], vec![1.5; n])),
+                ("y".to_string(), TensorVal::from_f32(&[n], vec![0.25; n])),
+            ])
+        };
+        let sizes = HashMap::from([("n".to_string(), 8i64)]);
+        let f = axpy();
+        let mut ctx = RunContext::new();
+        let first = eng
+            .run_with(&f, &inputs(8), &sizes, &mut ctx)
+            .expect("cold");
+        for _ in 0..20 {
+            let r = eng
+                .run_with(&f, &inputs(8), &sizes, &mut ctx)
+                .expect("warm");
+            assert_eq!(r.output("y").to_f64_vec(), first.output("y").to_f64_vec());
+        }
+        let exe = eng.prepare(&f.clone(), &sizes).expect("prepare");
+        let mut own = exe.new_context();
+        let r = exe.run(&mut own, &inputs(8)).expect("executable run");
+        assert_eq!(r.output("y").to_f64_vec(), first.output("y").to_f64_vec());
+        assert_eq!(exe.name(), "axpy");
+        assert_eq!(m.snapshot().counter("compiled.prepare"), 1);
+        let other = HashMap::from([("n".to_string(), 5i64)]);
+        eng.run(&f, &inputs(5), &other).expect("other sizes");
+        assert_eq!(m.snapshot().counter("compiled.prepare"), 2);
+        // A context bound by one executable refuses another's run.
+        exe.run(&mut own, &inputs(8)).expect("own context");
+        let exe5 = eng.prepare(&f, &other).expect("prepare n=5");
+        assert!(matches!(
+            exe5.run(&mut own, &inputs(5)),
+            Err(RuntimeError::ContextMismatch { .. })
+        ));
+    }
+
+    /// The memo holds at most `PREPARED_CAP` executables. Twice as many
+    /// keys (one program at distinct sizes, sharing one artifact) evict the
+    /// oldest, and an evicted key that comes back prepares again and still
+    /// answers correctly.
+    #[test]
+    fn prepared_memo_is_bounded() {
+        if !cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let m = Metrics::new();
+        let mut eng = CompiledEngine::with_cache_dir(tmp_cache("bounded"));
+        eng.set_metrics(Some(m.clone()));
+        let f = axpy();
+        let run = |n: usize| {
+            let inputs = HashMap::from([
+                ("x".to_string(), TensorVal::from_f32(&[n], vec![1.0; n])),
+                ("y".to_string(), TensorVal::from_f32(&[n], vec![0.5; n])),
+            ]);
+            let sizes = HashMap::from([("n".to_string(), n as i64)]);
+            let r = eng.run(&f, &inputs, &sizes).expect("runs");
+            assert_eq!(r.output("y").to_f64_vec(), vec![2.5; n]);
+        };
+        for n in 1..=2 * PREPARED_CAP {
+            run(n);
+        }
+        assert_eq!(eng.memo.lock().slots.len(), PREPARED_CAP);
+        let s = m.snapshot();
+        assert_eq!(s.counter("compiled.prepare"), 2 * PREPARED_CAP as u64);
+        assert_eq!(s.counter("compiled.prepared.evicted"), PREPARED_CAP as u64);
+        run(1);
+        assert_eq!(
+            m.snapshot().counter("compiled.prepare"),
+            2 * PREPARED_CAP as u64 + 1
+        );
+        assert_eq!(eng.memo.lock().slots.len(), PREPARED_CAP);
+    }
+
+    /// Environment variable that turns [`openmp_teardown_child`] into the
+    /// child half of [`openmp_teardown_exits_cleanly`].
+    const TEARDOWN_CHILD: &str = "FT_NATIVE_TEARDOWN_CHILD";
+
+    fn omp_scale() -> Func {
+        Func::new("omp_scale")
+            .param("x", [var("n")], DataType::F32, AccessType::Input)
+            .param("y", [var("n")], DataType::F32, AccessType::Output)
+            .size_param("n")
+            .body(for_with(
+                "i",
+                0,
+                var("n"),
+                ForProperty::parallel(ParallelScope::OpenMp),
+                store("y", [var("i")], load("x", [var("i")]) * 3.0f32),
+            ))
+    }
+
+    /// Child half: run an OpenMP kernel at the default thread count, drop
+    /// the engine (closing the kernel) and return, ending the process.
+    #[test]
+    fn openmp_teardown_child() {
+        let Ok(dir) = std::env::var(TEARDOWN_CHILD) else {
+            return;
+        };
+        let n = 1usize << 16;
+        let eng = CompiledEngine::with_cache_dir(dir);
+        let inputs = HashMap::from([("x".to_string(), TensorVal::from_f32(&[n], vec![1.0; n]))]);
+        let sizes = HashMap::from([("n".to_string(), n as i64)]);
+        let r = eng.run(&omp_scale(), &inputs, &sizes).expect("omp run");
+        assert_eq!(r.output("y").to_f64_vec()[n - 1], 3.0);
+        drop(eng);
+    }
+
+    /// Closing the last OpenMP kernel right after it ran must not take the
+    /// OpenMP runtime down under its still-spinning worker threads: ten
+    /// child processes that do exactly that all exit with status 0.
+    #[test]
+    fn openmp_teardown_exits_cleanly() {
+        if !cc_available() || std::env::var(TEARDOWN_CHILD).is_ok() {
+            return;
+        }
+        let dir = tmp_cache("teardown");
+        // Build the kernel once so the children only load it.
+        let eng = CompiledEngine::with_cache_dir(&dir);
+        let sizes = HashMap::from([("n".to_string(), 1i64 << 16)]);
+        eng.prepare(&omp_scale(), &sizes).expect("prepare");
+        let exe = std::env::current_exe().expect("test binary path");
+        for i in 0..10 {
+            let out = Command::new(&exe)
+                .args([
+                    "--exact",
+                    "native::tests::openmp_teardown_child",
+                    "--test-threads=1",
+                ])
+                .env(TEARDOWN_CHILD, &dir)
+                .output()
+                .expect("spawn child");
+            assert!(
+                out.status.success(),
+                "child {i} exited with {}:\n{}",
+                out.status,
+                String::from_utf8_lossy(&out.stdout)
+            );
+        }
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! under concurrent traffic if the machinery around the compiler is safe to
 //! share. [`Server`] is that front door: it accepts `(program, sizes,
 //! inputs)` jobs keyed by content hash and runs them on a persistent
-//! worker pool over one shared [`CompiledEngine`], with four serving
-//! policies layered on top:
+//! worker pool over one shared [`CompiledEngine`]. Per-program work
+//! happens once per key, never per request: `submit` resolves an
+//! `Arc<Func>` and its sizes to the content key and planned peak bytes
+//! once, caching them by `Arc` identity, and the first job of a key gets an
+//! [`Executable`] from [`CompiledEngine::prepare`] on a worker. Later jobs
+//! reuse it, so a warm request only binds, calls the kernel and replies.
+//! Four serving policies are layered on top:
 //!
 //! * **In-flight dedup** — requests for a key whose first (cold)
 //!   compilation is still in flight don't start another; they queue behind
@@ -18,9 +23,10 @@
 //!   one chatty client cannot starve the rest. The queue is bounded;
 //!   overflow is a structured [`ServeError::Overloaded`], not unbounded
 //!   growth.
-//! * **Context pooling** — each program key keeps a small pool of recycled
-//!   [`RunContext`]s. A warm request draws a context whose arena, pools and
-//!   staging buffers are already sized for its plan, so steady state
+//! * **Context pooling** — each program key keeps its executable and a
+//!   small pool of recycled [`RunContext`]s. A warm request draws a
+//!   context whose arena, pools and staging buffers are already sized for
+//!   its plan, so steady state
 //!   performs zero tensor heap allocations (`mem.arena.warm_alloc_calls`).
 //!   Digest-mode requests ([`Request::digest_only`]) let the server keep
 //!   the output buffers too, completing the zero-alloc loop.
@@ -30,9 +36,15 @@
 //!   budget, the request is rejected with the numbers that said no
 //!   ([`ServeError::OverBudget`]).
 //!
+//! A long-running server's state stays bounded: the key resolutions and
+//! the warm keys (executable + contexts) are LRU maps of fixed capacity,
+//! and evictions are counted as `serve.keys.evicted`. An evicted key that
+//! comes back is resolved and prepared again.
+//!
 //! Everything is observable through ft-metrics: `serve.requests`,
 //! `serve.ok`/`serve.errors`, the rejection counters, a
-//! `serve.queue_depth` gauge, and `serve.latency_us`/`serve.exec_us`
+//! `serve.queue_depth` gauge, and the `serve.submit_us` (admission),
+//! `serve.latency_us` (submit entry to reply) and `serve.exec_us`
 //! histograms (p50/p99 via `Histogram::quantile`).
 //!
 //! The implementation is plain threads + channels — no async executor, no
@@ -42,10 +54,12 @@ use ft_analysis::MemPlan;
 use ft_ir::Func;
 use ft_metrics::Metrics;
 use ft_runtime::{
-    CompiledEngine, ExecutionEngine, RunContext, RunResult, RuntimeError, Scalar, TensorVal,
+    CompiledEngine, Executable, ExecutionEngine, RunContext, RunResult, RuntimeError, Scalar,
+    TensorVal,
 };
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
@@ -201,7 +215,7 @@ pub struct Response {
     pub warm: bool,
     /// Microseconds from admission to execution start.
     pub queue_us: u64,
-    /// Microseconds executing (includes the compile on cold keys).
+    /// Microseconds executing (includes the prepare on cold keys).
     pub exec_us: u64,
 }
 
@@ -215,6 +229,74 @@ impl Response {
     }
 }
 
+/// Resolutions `submit` keeps, by `Arc<Func>` identity.
+const RESOLVED_CAP: usize = 256;
+/// Program keys whose executable and contexts the server keeps warm.
+const WARM_KEYS_CAP: usize = 64;
+
+/// A map of at most `cap` entries: inserting a new key into a full map
+/// evicts the least recently used entry.
+struct Lru<K, V> {
+    map: HashMap<K, (V, u64)>,
+    clock: u64,
+    cap: usize,
+}
+
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    fn new(cap: usize) -> Lru<K, V> {
+        Lru {
+            map: HashMap::new(),
+            clock: 0,
+            cap,
+        }
+    }
+
+    /// The entry for `k`, marked most recently used.
+    fn get_mut(&mut self, k: &K) -> Option<&mut V> {
+        self.clock += 1;
+        let now = self.clock;
+        self.map.get_mut(k).map(|(v, used)| {
+            *used = now;
+            v
+        })
+    }
+
+    /// Insert or replace `k`; returns whether another entry was evicted.
+    fn insert(&mut self, k: K, v: V) -> bool {
+        self.clock += 1;
+        let evict = !self.map.contains_key(&k) && self.map.len() >= self.cap;
+        if evict {
+            let lru = self
+                .map
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| *k)
+                .expect("a full map has entries");
+            self.map.remove(&lru);
+        }
+        self.map.insert(k, (v, self.clock));
+        evict
+    }
+}
+
+/// What `submit` resolved a request's program and sizes to. Holding the
+/// `Arc` keeps its address from being reused while the entry lives.
+struct Resolved {
+    _func: Arc<Func>,
+    sizes: HashMap<String, i64>,
+    key: u64,
+    peak_bytes: u64,
+}
+
+/// A program key's warm state: its prepared executable and recycled
+/// contexts.
+struct KeyState {
+    exe: Arc<Executable>,
+    ctxs: Vec<RunContext>,
+    /// A run of the key has completed successfully.
+    warm: bool,
+}
+
 struct Job {
     key: u64,
     func: Arc<Func>,
@@ -222,14 +304,15 @@ struct Job {
     sizes: HashMap<String, i64>,
     digest_only: bool,
     peak_bytes: u64,
+    /// `submit` entry: the start of the request's latency.
+    submitted: Instant,
     enqueued: Instant,
     reply: mpsc::Sender<Result<Response, ServeError>>,
 }
 
 /// All mutable scheduling state, behind one mutex: the per-client queues
 /// with their round-robin ring, admission accounting, and the key
-/// lifecycle sets.
-#[derive(Default)]
+/// lifecycle.
 struct QueueState {
     clients: HashMap<String, VecDeque<Job>>,
     /// Client ids in first-seen order; the drain cursor walks this ring.
@@ -238,11 +321,12 @@ struct QueueState {
     queued: usize,
     /// Planned-peak bytes of admitted (queued + executing) jobs.
     admitted_bytes: u64,
-    /// Keys submitted whose first completion hasn't happened yet; a second
-    /// submission while a key is here is an in-flight dedup hit.
+    /// Keys submitted that are not warm yet; a second submission while a
+    /// key is here is an in-flight dedup hit. A key leaves when any of its
+    /// jobs completes, so this holds at most the admitted jobs' keys.
     compiling: HashSet<u64>,
-    /// Keys that have completed at least once (artifact + contexts exist).
-    warm: HashSet<u64>,
+    /// Warm state of recently run keys.
+    keys: Lru<u64, KeyState>,
     shutdown: bool,
 }
 
@@ -252,9 +336,9 @@ struct Inner {
     metrics: Metrics,
     q: Mutex<QueueState>,
     work: Condvar,
-    /// Recycled per-key contexts. Separate from the queue mutex so a long
-    /// run never blocks admission.
-    ctxs: Mutex<HashMap<u64, Vec<RunContext>>>,
+    /// `submit`'s resolutions, keyed by `Arc<Func>` address. Separate from
+    /// the queue mutex so resolving never waits behind scheduling.
+    resolved: Mutex<Lru<usize, Resolved>>,
 }
 
 /// The serving front door. Construct with [`Server::new`], submit with
@@ -334,9 +418,18 @@ impl Server {
             cfg,
             engine,
             metrics,
-            q: Mutex::new(QueueState::default()),
+            q: Mutex::new(QueueState {
+                clients: HashMap::new(),
+                ring: Vec::new(),
+                cursor: 0,
+                queued: 0,
+                admitted_bytes: 0,
+                compiling: HashSet::new(),
+                keys: Lru::new(WARM_KEYS_CAP),
+                shutdown: false,
+            }),
             work: Condvar::new(),
-            ctxs: Mutex::new(HashMap::new()),
+            resolved: Mutex::new(Lru::new(RESOLVED_CAP)),
         });
         let workers = (0..inner.cfg.workers)
             .map(|i| {
@@ -370,11 +463,10 @@ impl Server {
         client: &str,
         req: Request,
     ) -> Result<mpsc::Receiver<Result<Response, ServeError>>, ServeError> {
+        let submitted = Instant::now();
         let m = &self.inner.metrics;
         m.counter("serve.requests").inc();
-        let key = content_key(&req.func, &req.sizes);
-        let plan = MemPlan::plan(&req.func, &req.sizes);
-        let peak_bytes = plan.run_peak_bytes(&req.func, &req.sizes);
+        let (key, peak_bytes) = self.resolve(&req.func, &req.sizes);
         let (tx, rx) = mpsc::channel();
         {
             let mut q = self.inner.q.lock().unwrap();
@@ -398,31 +490,63 @@ impl Server {
                     });
                 }
             }
-            if !q.warm.contains(&key) && !q.compiling.insert(key) {
+            let warm = q.keys.get_mut(&key).is_some_and(|k| k.warm);
+            if !warm && !q.compiling.insert(key) {
                 m.counter("serve.inflight_dedup_hits").inc();
             }
             q.admitted_bytes += peak_bytes;
-            if !q.clients.contains_key(client) {
-                q.ring.push(client.to_string());
+            let job = Job {
+                key,
+                func: req.func,
+                inputs: req.inputs,
+                sizes: req.sizes,
+                digest_only: req.digest_only,
+                peak_bytes,
+                submitted,
+                enqueued: Instant::now(),
+                reply: tx,
+            };
+            match q.clients.get_mut(client) {
+                Some(jobs) => jobs.push_back(job),
+                None => {
+                    q.ring.push(client.to_string());
+                    q.clients.insert(client.to_string(), VecDeque::from([job]));
+                }
             }
-            q.clients
-                .entry(client.to_string())
-                .or_default()
-                .push_back(Job {
-                    key,
-                    func: req.func,
-                    inputs: req.inputs,
-                    sizes: req.sizes,
-                    digest_only: req.digest_only,
-                    peak_bytes,
-                    enqueued: Instant::now(),
-                    reply: tx,
-                });
             q.queued += 1;
             m.gauge("serve.queue_depth").set(q.queued as i64);
         }
         self.inner.work.notify_one();
+        m.histogram("serve.submit_us")
+            .record_duration_us(submitted.elapsed());
         Ok(rx)
+    }
+
+    /// The content key and planned peak bytes of `func` at `sizes`,
+    /// computed once per `Arc` and size set. A lookup compares the sizes
+    /// in place and allocates nothing.
+    fn resolve(&self, func: &Arc<Func>, sizes: &HashMap<String, i64>) -> (u64, u64) {
+        let addr = Arc::as_ptr(func) as usize;
+        if let Some(r) = self.inner.resolved.lock().unwrap().get_mut(&addr) {
+            if r.sizes == *sizes {
+                return (r.key, r.peak_bytes);
+            }
+        }
+        let key = content_key(func, sizes);
+        let peak_bytes = MemPlan::plan(func, sizes).run_peak_bytes(func, sizes);
+        let evicted = self.inner.resolved.lock().unwrap().insert(
+            addr,
+            Resolved {
+                _func: Arc::clone(func),
+                sizes: sizes.clone(),
+                key,
+                peak_bytes,
+            },
+        );
+        if evicted {
+            self.inner.metrics.counter("serve.keys.evicted").inc();
+        }
+        (key, peak_bytes)
     }
 
     /// Submit and wait for the result — the closed-loop client shape.
@@ -520,27 +644,38 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
-/// Run one job to completion and reply. Contexts are drawn from and
-/// returned to the key's pool; a failed run poisons its context, which the
-/// context itself heals (reset) on next use.
+/// Run one job to completion and reply. The key's executable and a
+/// context are drawn from its warm state; a cold key is prepared here, on
+/// the worker. Contexts return to the key's pool; a failed run poisons its
+/// context, which the context itself heals (reset) on next use.
 fn execute(inner: &Inner, job: Job) {
     let m = &inner.metrics;
     let queue_us = job.enqueued.elapsed().as_micros() as u64;
-    let warm = {
-        let q = inner.q.lock().unwrap();
-        q.warm.contains(&job.key)
+    let (warm, exe, ctx) = {
+        let mut q = inner.q.lock().unwrap();
+        match q.keys.get_mut(&job.key) {
+            Some(k) => (k.warm, Some(Arc::clone(&k.exe)), k.ctxs.pop()),
+            None => (false, None, None),
+        }
     };
-    let mut ctx = inner
-        .ctxs
-        .lock()
-        .unwrap()
-        .get_mut(&job.key)
-        .and_then(Vec::pop)
-        .unwrap_or_default();
     let t0 = Instant::now();
-    let r = inner
-        .engine
-        .run_with(&job.func, &job.inputs, &job.sizes, &mut ctx);
+    let exe = match exe {
+        // The same event the engine counts when its memo serves a prepare.
+        Some(exe) => {
+            m.counter("compiled.cache.hit").inc();
+            Ok(exe)
+        }
+        None => inner.engine.prepare(&job.func, &job.sizes),
+    };
+    let mut ctx = match (&exe, ctx) {
+        (_, Some(c)) => c,
+        (Ok(exe), None) => exe.new_context(),
+        (Err(_), None) => RunContext::new(),
+    };
+    let r = exe
+        .as_ref()
+        .map_err(Clone::clone)
+        .and_then(|exe| exe.run(&mut ctx, &job.inputs));
     let exec_us = t0.elapsed().as_micros() as u64;
     let reply = match r {
         Ok(result) => {
@@ -571,23 +706,31 @@ fn execute(inner: &Inner, job: Job) {
         }
     };
     let ok = reply.is_ok();
-    m.histogram("serve.exec_us").record(exec_us);
-    m.histogram("serve.latency_us").record(queue_us + exec_us);
     {
         let mut q = inner.q.lock().unwrap();
         q.admitted_bytes = q.admitted_bytes.saturating_sub(job.peak_bytes);
         q.compiling.remove(&job.key);
-        if ok {
-            q.warm.insert(job.key);
+        if let Ok(exe) = exe {
+            if q.keys.get_mut(&job.key).is_none() {
+                let k = KeyState {
+                    exe,
+                    ctxs: Vec::new(),
+                    warm: false,
+                };
+                if q.keys.insert(job.key, k) {
+                    m.counter("serve.keys.evicted").inc();
+                }
+            }
+            let k = q.keys.get_mut(&job.key).expect("just inserted");
+            k.warm |= ok;
+            if k.ctxs.len() < inner.cfg.ctx_pool_per_key {
+                k.ctxs.push(ctx);
+            }
         }
     }
-    {
-        let mut pools = inner.ctxs.lock().unwrap();
-        let pool = pools.entry(job.key).or_default();
-        if pool.len() < inner.cfg.ctx_pool_per_key {
-            pool.push(ctx);
-        }
-    }
+    m.histogram("serve.exec_us").record(exec_us);
+    m.histogram("serve.latency_us")
+        .record_duration_us(job.submitted.elapsed());
     // The caller may have dropped the receiver (fire-and-forget); that's
     // their business.
     let _ = job.reply.send(reply);
@@ -819,6 +962,58 @@ mod tests {
         // The key never became warm; the next attempt is cold again and is
         // the new compile leader (no deadlock on the failed flight).
         assert_eq!(s.counter("serve.warm"), 0);
+    }
+
+    /// Twice the capacity of every per-key map in distinct `Arc`s and
+    /// keys: each map stays within its capacity, evictions are counted,
+    /// and an evicted key that comes back still answers correctly.
+    #[test]
+    fn per_key_state_stays_bounded() {
+        if !ft_runtime::cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let srv = manual_server(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        });
+        let f = Func::new("fill_n")
+            .param("y", [var("n")], DataType::F32, AccessType::Output)
+            .size_param("n")
+            .body(for_("i", 0, var("n"), store("y", [var("i")], 1.0f32)));
+        let call = |n: usize| {
+            let sizes = HashMap::from([("n".to_string(), n as i64)]);
+            let rx = srv
+                .submit(
+                    "a",
+                    Request::new(Arc::new(f.clone()), HashMap::new(), sizes),
+                )
+                .expect("admitted");
+            assert!(srv.pump_one());
+            match rx.recv().unwrap().expect("runs").payload {
+                Payload::Tensors(outs) => assert_eq!(outs["y"].to_f64_vec(), vec![1.0; n]),
+                Payload::Digest(_) => panic!("tensor mode"),
+            }
+        };
+        let keys = 2 * WARM_KEYS_CAP;
+        for i in 0..2 * RESOLVED_CAP {
+            call(1 + i % keys);
+        }
+        {
+            let q = srv.inner.q.lock().unwrap();
+            assert_eq!(q.keys.map.len(), WARM_KEYS_CAP);
+            assert!(q.compiling.is_empty());
+        }
+        assert_eq!(srv.inner.resolved.lock().unwrap().map.len(), RESOLVED_CAP);
+        let s = srv.metrics().snapshot();
+        assert!(
+            s.counter("serve.keys.evicted") >= (RESOLVED_CAP + keys - WARM_KEYS_CAP) as u64,
+            "{s:?}"
+        );
+        assert!(s.counter("compiled.prepared.evicted") > 0, "{s:?}");
+        // Key n=1 was evicted long ago; it comes back correct.
+        call(1);
+        assert_eq!(srv.metrics().snapshot().counter("serve.errors"), 0);
     }
 
     #[test]

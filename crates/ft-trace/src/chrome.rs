@@ -507,6 +507,34 @@ mod tests {
         assert!(text.contains("\"metrics\""), "{text}");
     }
 
+    /// Parsing is linear in the document: a string-heavy trace of several
+    /// megabytes (long span names and args, plus non-ASCII text) parses,
+    /// validates and round-trips in well under a second in release builds.
+    #[test]
+    fn multi_megabyte_trace_parses_in_linear_time() {
+        let sink = TraceSink::new();
+        let detail = "for i in range(n): y[i] += x[i] * w — µs ".repeat(8);
+        for k in 0..6000 {
+            let mut sp = sink.span("runtime", &format!("compiled kernel {k} {detail}"));
+            sp.arg("source", &detail);
+            sp.arg("hash", format!("{k:016x}"));
+        }
+        let text = chrome_trace(&sink);
+        assert!(text.len() >= 4 << 20, "{} bytes", text.len());
+        let t0 = std::time::Instant::now();
+        let root = JsonVal::parse(&text).unwrap();
+        let stats = validate_chrome_trace(&text).unwrap();
+        let elapsed = t0.elapsed();
+        assert_eq!(stats.spans, 6000);
+        assert_eq!(JsonVal::parse(&root.to_string()).unwrap(), root);
+        if !cfg!(debug_assertions) {
+            assert!(
+                elapsed.as_millis() < 500,
+                "parse + validate took {elapsed:?}"
+            );
+        }
+    }
+
     #[test]
     fn validator_rejects_malformed_counter_events() {
         let no_args = r#"{"traceEvents": [

@@ -261,11 +261,14 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the run of plain bytes up to the next quote or
+                // escape. Both delimiters are ASCII, so the run ends on a
+                // char boundary and only it is validated — once.
+                let start = *pos;
+                while !matches!(b.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                out.push_str(std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?);
             }
         }
     }

@@ -18,15 +18,23 @@
 //! * `server_keys_contexts_per_program` — the same two workloads served
 //!   concurrently through one `ft-serve` server: per-key context pools
 //!   mean no mismatch ever escapes to a client.
+//! * `warm_requests_prepare_once` — prepare once, run many: 200 warm
+//!   requests of one program cost exactly one prepare (the
+//!   `compiled.prepare` counter), a structurally equal program in a new
+//!   `Arc` reuses it, other sizes prepare anew, and the prepared
+//!   executable's outputs are bit-identical to the engine's `run_with` and
+//!   `run` at the default OpenMP thread count.
 
 use ft_conformance::ops::{apply_trace, sample_trace};
 use ft_conformance::Workload;
 use ft_metrics::Metrics;
+use freetensor::autoschedule::Target;
+use freetensor::ir::prelude::*;
 use freetensor::runtime::{
     cc_available, CompiledEngine, ExecutionEngine, RunContext, Runtime, RuntimeError, Scalar,
     TensorVal,
 };
-use freetensor::serve::{Request, ServeConfig, Server};
+use freetensor::serve::{Payload, Request, ServeConfig, Server};
 use freetensor::workloads::{longformer, subdivnet};
 use proptest::test_runner::TestRng;
 use std::collections::HashMap;
@@ -226,5 +234,121 @@ fn server_keys_contexts_per_program() {
     assert_eq!(snap.counter("serve.errors"), 0);
     assert_eq!(snap.counter("compiled.cache.publish"), 2, "{snap:?}");
     drop(server);
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+#[test]
+fn warm_requests_prepare_once() {
+    if !cc_available() {
+        eprintln!("skipping: no C compiler");
+        return;
+    }
+    let p = subdivnet::Params {
+        n_faces: 64,
+        in_feats: 8,
+    };
+    // The CPU schedule: OpenMP loops, run at the default thread count.
+    let func = Arc::new(
+        subdivnet::program(&p)
+            .optimize(&Target::cpu())
+            .func()
+            .clone(),
+    );
+    let inputs = subdivnet::inputs(&p, 7);
+    let none: HashMap<String, i64> = HashMap::new();
+
+    let cache = fresh_cache("prepare-once");
+    let metrics = Metrics::new();
+    let server = Server::new(
+        ServeConfig {
+            workers: 2,
+            cache_dir: Some(cache.clone()),
+            ..ServeConfig::default()
+        },
+        metrics.clone(),
+    );
+    let tensors = |func: &Arc<Func>| {
+        let resp = server
+            .call(
+                "a",
+                Request::new(Arc::clone(func), inputs.clone(), none.clone()),
+            )
+            .expect("tensor request");
+        match resp.payload {
+            Payload::Tensors(outs) => output_bits(&outs),
+            Payload::Digest(_) => panic!("asked for tensors"),
+        }
+    };
+    let reference = tensors(&func);
+    let digest = server
+        .call(
+            "a",
+            Request::new(Arc::clone(&func), inputs.clone(), none.clone()).digest(),
+        )
+        .expect("digest request")
+        .digest();
+    for i in 0..200 {
+        if i % 8 == 0 {
+            assert_eq!(tensors(&func), reference, "warm request {i}");
+        } else {
+            let d = server
+                .call(
+                    "b",
+                    Request::new(Arc::clone(&func), inputs.clone(), none.clone()).digest(),
+                )
+                .expect("warm digest request")
+                .digest();
+            assert_eq!(d, digest, "warm request {i}");
+        }
+    }
+    assert_eq!(metrics.snapshot().counter("compiled.prepare"), 1);
+    // A structurally equal program in a new Arc is the same key.
+    assert_eq!(tensors(&Arc::new(Func::clone(&func))), reference);
+    assert_eq!(metrics.snapshot().counter("compiled.prepare"), 1);
+    let snap = metrics.snapshot();
+    assert_eq!(snap.counter("serve.errors"), 0, "{snap:?}");
+    drop(server);
+
+    // The same program through the engine: the prepared executable and
+    // the per-call entry points give the same bits as the server did.
+    let m = Metrics::new();
+    let mut engine = CompiledEngine::with_cache_dir(&cache);
+    engine.set_metrics(Some(m.clone()));
+    let exe = engine.prepare(&func, &none).expect("prepare");
+    let mut ctx = exe.new_context();
+    for _ in 0..3 {
+        let r = exe.run(&mut ctx, &inputs).expect("executable run");
+        assert_eq!(output_bits(&r.outputs), reference);
+        ctx.recycle(r).expect("recycle");
+    }
+    let mut fresh = RunContext::new();
+    let r = engine
+        .run_with(&func, &inputs, &none, &mut fresh)
+        .expect("run_with");
+    assert_eq!(output_bits(&r.outputs), reference);
+    let r = engine
+        .run(&Func::clone(&func), &inputs, &none)
+        .expect("run");
+    assert_eq!(output_bits(&r.outputs), reference);
+    assert_eq!(m.snapshot().counter("compiled.prepare"), 1);
+
+    // Other sizes are another key: one more prepare.
+    let f = Func::new("scale_n")
+        .param("x", [var("n")], DataType::F32, AccessType::Input)
+        .param("y", [var("n")], DataType::F32, AccessType::Output)
+        .size_param("n")
+        .body(for_(
+            "i",
+            0,
+            var("n"),
+            store("y", [var("i")], load("x", [var("i")]) * 2.0f32),
+        ));
+    for n in [4usize, 4, 6, 6] {
+        let x = HashMap::from([("x".to_string(), TensorVal::from_f32(&[n], vec![1.0; n]))]);
+        let sizes = HashMap::from([("n".to_string(), n as i64)]);
+        let r = engine.run(&f, &x, &sizes).expect("sized run");
+        assert_eq!(r.output("y").to_f64_vec(), vec![2.0; n]);
+    }
+    assert_eq!(m.snapshot().counter("compiled.prepare"), 3);
     let _ = std::fs::remove_dir_all(&cache);
 }
