@@ -1,10 +1,11 @@
 //! C99 + OpenMP emission for CPU schedules.
 
+use ft_ir::visit::{walk_expr, walk_stmt, Visitor};
 use ft_ir::{
     AccessType, BinaryOp, DataType, Expr, Func, MemType, ReduceOp, Stmt, StmtKind, UnaryOp,
 };
 use std::collections::{HashMap, HashSet};
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// Static preamble: headers and the tiny support library every generated
 /// translation unit relies on.
@@ -38,6 +39,18 @@ static inline void ft_lib_matmul(const float* A, const float* B, float* C,
 /// what [`emit_c`] always produced.
 pub const PROF_PREAMBLE: &str = "#include <time.h>\n";
 
+/// The OpenMP queries a unit with privatized reductions calls, with
+/// one-thread stand-ins for serial (non-`-fopenmp`) builds. Appended to
+/// [`PREAMBLE`] only by units that privatize, so every other unit is
+/// byte-identical to one emitted without privatization support.
+pub const OMP_PREAMBLE: &str = "#ifdef _OPENMP
+#include <omp.h>
+#else
+static inline int omp_get_max_threads(void) { return 1; }
+static inline int omp_get_thread_num(void) { return 0; }
+#endif
+";
+
 fn ctype(dt: DataType) -> &'static str {
     match dt {
         DataType::F32 => "float",
@@ -59,9 +72,11 @@ enum CTy {
 /// C identifiers every generated translation unit already uses (the
 /// preamble's support library) plus the C99 keywords — IR names must never
 /// mangle onto these.
+#[rustfmt::skip]
 const RESERVED: &[&str] = &[
     "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_lib_matmul", "ft_entry", "__ft_prof", "__ft_t0",
-    "__ft_t1", "__ft_arena", "__ft_arena_base", "__ft_arena_owned", "auto", "break", "case", "char",
+    "__ft_t1", "__ft_arena", "__ft_arena_base", "__ft_arena_owned", "__ft_t", "__ft_k",
+    "omp_get_max_threads", "omp_get_thread_num", "auto", "break", "case", "char",
     "const", "continue", "default", "do", "double", "else", "enum", "extern", "float", "for",
     "goto", "if", "inline", "int", "long", "register", "restrict", "return", "short", "signed",
     "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned", "void", "volatile",
@@ -96,18 +111,24 @@ impl Mangler {
     /// Bind an IR name in the current scope, returning its unique C
     /// identifier (stable for the lifetime of the translation unit).
     pub fn bind(&mut self, name: &str) -> String {
-        let base = sanitize(name);
-        let mut ident = base.clone();
+        let ident = self.fresh(&sanitize(name));
+        self.scopes
+            .entry(name.to_string())
+            .or_default()
+            .push(ident.clone());
+        ident
+    }
+
+    /// Reserve a unique identifier for an emitter temporary that no IR name
+    /// refers to (so, unlike [`Mangler::bind`], it shadows nothing).
+    fn fresh(&mut self, base: &str) -> String {
+        let mut ident = base.to_string();
         let mut n = 1usize;
         while self.used.contains(&ident) {
             n += 1;
             ident = format!("{base}_{n}");
         }
         self.used.insert(ident.clone());
-        self.scopes
-            .entry(name.to_string())
-            .or_default()
-            .push(ident.clone());
         ident
     }
 
@@ -192,6 +213,138 @@ struct ArenaSlot {
     must_zero: bool,
 }
 
+/// Largest per-thread partial footprint a parallel loop may privatize; a
+/// loop whose float reduction targets need more runs serially instead.
+/// Longformer's gradient, the largest benchmark program, privatizes
+/// 256 KiB per thread at full shapes.
+pub const PRIVATE_BYTES_CAP: u64 = 1 << 20;
+
+/// How the emitter lowered the float reductions one OpenMP loop carries.
+///
+/// Float `+`/`*`/`min`/`max` accumulated through `omp atomic` land in a
+/// different order on every run, so no float reduction shared by a
+/// parallel loop is ever lowered to an atomic: it is either privatized
+/// (one partial slice per thread, iterations split by `schedule(static)`,
+/// slices merged in ascending thread order after the region) or the loop
+/// runs serially. Either way the same program, inputs and thread count
+/// give bit-identical output.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReduceDecision {
+    /// The loop, labelled like [`ProfSite::desc`] (`for i`).
+    pub desc: String,
+    /// What the emitter did with it.
+    pub lowering: ReduceLowering,
+}
+
+/// See [`ReduceDecision`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReduceLowering {
+    /// Per-thread partials for these targets, in first-reduced order.
+    Privatize(Vec<String>),
+    /// The loop runs serially: `reason` is `target_read_in_loop` (the loop
+    /// also loads, stores or library-calls `target`), `mixed_reduce_ops`,
+    /// `symbolic_extent` (the target's size is not a constant) or
+    /// `private_bytes_over_cap` ([`PRIVATE_BYTES_CAP`]).
+    Serialize {
+        reason: &'static str,
+        target: String,
+    },
+}
+
+impl fmt::Display for ReduceDecision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.lowering {
+            ReduceLowering::Privatize(vars) => {
+                write!(f, "{}: privatize {}", self.desc, vars.join(", "))
+            }
+            ReduceLowering::Serialize { reason, target } => {
+                write!(f, "{}: serialize {reason} ({target})", self.desc)
+            }
+        }
+    }
+}
+
+/// One privatized reduction target of a parallel loop.
+struct Partial {
+    var: String,
+    dtype: DataType,
+    op: ReduceOp,
+    numel: u64,
+}
+
+/// How a loop marked parallel is emitted.
+enum Region {
+    /// As a plain `for`: nested in another region, or serialized.
+    Serial,
+    /// `omp parallel for`: it shares no float reduction.
+    Plain,
+    /// `omp parallel` + `omp for schedule(static)` over per-thread partials.
+    Private(Vec<Partial>),
+}
+
+/// What a parallel loop body does with the tensors defined outside it.
+#[derive(Default)]
+struct RegionScan {
+    /// Defs opened inside the body around the current point.
+    local: Vec<String>,
+    /// Target, operator and atomic mark of every reduction into an outer
+    /// tensor; the atomic-marked ones are those the loop (or a loop nested
+    /// in it) carries.
+    reduced: Vec<(String, ReduceOp, bool)>,
+    /// Outer tensors the body loads, stores or passes to a library call.
+    touched: HashSet<String>,
+}
+
+impl RegionScan {
+    fn outer(&self, var: &str) -> bool {
+        !self.local.iter().any(|l| l == var)
+    }
+
+    fn touch(&mut self, var: &str) {
+        if self.outer(var) {
+            self.touched.insert(var.to_string());
+        }
+    }
+}
+
+impl Visitor for RegionScan {
+    fn visit_stmt(&mut self, s: &Stmt) {
+        match &s.kind {
+            StmtKind::VarDef {
+                name, shape, body, ..
+            } => {
+                for e in shape {
+                    self.visit_expr(e);
+                }
+                self.local.push(name.clone());
+                self.visit_stmt(body);
+                self.local.pop();
+                return;
+            }
+            StmtKind::Store { var, .. } => self.touch(var),
+            StmtKind::ReduceTo {
+                var, op, atomic, ..
+            } if self.outer(var) => self.reduced.push((var.clone(), *op, *atomic)),
+            StmtKind::LibCall {
+                inputs, outputs, ..
+            } => {
+                for v in inputs.iter().chain(outputs) {
+                    self.touch(v);
+                }
+            }
+            _ => {}
+        }
+        walk_stmt(self, s);
+    }
+
+    fn visit_expr(&mut self, e: &Expr) {
+        if let Expr::Load { var, .. } = e {
+            self.touch(var);
+        }
+        walk_expr(self, e);
+    }
+}
+
 struct Emitter {
     dtypes: HashMap<String, DataType>,
     shapes: HashMap<String, Vec<Expr>>,
@@ -208,10 +361,14 @@ struct Emitter {
     arena: Vec<Option<ArenaSlot>>,
     /// Pre-order counter of `VarDef`s encountered so far.
     def_idx: usize,
-    /// Number of enclosing parallel (`omp parallel for`) loops. Defs inside
-    /// a parallel body must stay thread-private (`calloc` per iteration);
-    /// a shared arena offset would race across the team.
-    parallel_depth: usize,
+    /// Inside an OpenMP parallel region. Defs there must stay
+    /// thread-private (`calloc` per iteration) — a shared arena offset
+    /// would race across the team — and loops marked parallel there run
+    /// as plain `for`s (no nested regions).
+    in_parallel: bool,
+    /// Reduction lowering of every parallel loop that shares a float
+    /// reduction, in emission order.
+    reductions: Vec<ReduceDecision>,
 }
 
 impl Emitter {
@@ -384,6 +541,148 @@ impl Emitter {
             .join(" * ")
     }
 
+    /// Decide how a loop marked parallel is emitted (see [`ReduceDecision`]),
+    /// recording the decision when it shares a float reduction.
+    fn plan_region(&mut self, iter: &str, body: &Stmt) -> Region {
+        if self.in_parallel {
+            return Region::Serial;
+        }
+        let mut scan = RegionScan::default();
+        scan.visit_stmt(body);
+        let mut partials: Vec<Partial> = Vec::new();
+        let mut serialize = None;
+        for (var, op, _) in scan.reduced.iter().filter(|r| r.2) {
+            let Some(&dtype) = self.dtypes.get(var).filter(|d| d.is_float()) else {
+                continue; // integer atomics are deterministic
+            };
+            if partials.iter().any(|p| p.var == *var) {
+                continue;
+            }
+            // Every reduction into a privatized target lands in the slice,
+            // so they must all share the slice's operator.
+            let (var, op) = (var.clone(), *op);
+            if scan.reduced.iter().any(|r| r.0 == var && r.1 != op) {
+                serialize = Some(("mixed_reduce_ops", var));
+                break;
+            }
+            if scan.touched.contains(&var) {
+                serialize = Some(("target_read_in_loop", var));
+                break;
+            }
+            let numel = self.shapes[&var]
+                .iter()
+                .map(|e| ft_passes::const_fold_expr(e.clone()).as_int())
+                .try_fold(1u64, |a, b| {
+                    b.and_then(|v| u64::try_from(v).ok()).map(|v| a * v)
+                });
+            let Some(numel) = numel else {
+                serialize = Some(("symbolic_extent", var));
+                break;
+            };
+            partials.push(Partial {
+                var,
+                dtype,
+                op,
+                numel,
+            });
+        }
+        let bytes: u64 = partials
+            .iter()
+            .map(|p| p.numel * p.dtype.size_bytes() as u64)
+            .sum();
+        if serialize.is_none() && bytes > PRIVATE_BYTES_CAP {
+            let all: Vec<&str> = partials.iter().map(|p| p.var.as_str()).collect();
+            serialize = Some(("private_bytes_over_cap", all.join(", ")));
+        }
+        let desc = format!("for {iter}");
+        let (region, lowering) = match serialize {
+            Some((reason, target)) => {
+                (Region::Serial, ReduceLowering::Serialize { reason, target })
+            }
+            None if partials.is_empty() => return Region::Plain,
+            None => {
+                let vars = partials.iter().map(|p| p.var.clone()).collect();
+                (Region::Private(partials), ReduceLowering::Privatize(vars))
+            }
+        };
+        let decision = ReduceDecision { desc, lowering };
+        self.line(&format!("/* {decision} */"));
+        self.reductions.push(decision);
+        region
+    }
+
+    /// Open a privatized region: one zeroed (identity-filled) allocation of
+    /// `omp_get_max_threads()` slices per target, the `omp parallel`
+    /// block, and each thread's slice bound to the target's IR name so the
+    /// body's reductions land in it. Returns the allocation identifiers.
+    fn open_private(&mut self, partials: &[Partial]) -> (String, Vec<String>) {
+        let nthr = self.names.fresh("__ft_nthr");
+        self.line("{");
+        self.indent += 1;
+        self.line(&format!("const int {nthr} = omp_get_max_threads();"));
+        let mut bufs = Vec::new();
+        for p in partials {
+            let ty = ctype(p.dtype);
+            let buf = self.names.fresh("__ft_part");
+            let n = p.numel;
+            self.line(&format!(
+                "{ty}* {buf} = ({ty}*)calloc((size_t){nthr} * {n}, sizeof({ty}));"
+            ));
+            let identity = match p.op {
+                ReduceOp::Add => None,
+                ReduceOp::Mul => Some("1.0"),
+                ReduceOp::Min => Some("INFINITY"),
+                ReduceOp::Max => Some("-INFINITY"),
+            };
+            if let Some(v) = identity {
+                self.line(&format!(
+                    "for (size_t __ft_k = 0; __ft_k < (size_t){nthr} * {n}; ++__ft_k) \
+                     {buf}[__ft_k] = {v};"
+                ));
+            }
+            bufs.push(buf);
+        }
+        self.line("#pragma omp parallel");
+        self.line("{");
+        self.indent += 1;
+        for (p, buf) in partials.iter().zip(&bufs) {
+            let ty = ctype(p.dtype);
+            let slice = self.names.bind(&p.var);
+            self.line(&format!(
+                "{ty}* {slice} = {buf} + (size_t)omp_get_thread_num() * {};",
+                p.numel
+            ));
+        }
+        self.line("#pragma omp for schedule(static)");
+        (nthr, bufs)
+    }
+
+    /// Close a privatized region: fold every thread's slice into its target
+    /// in ascending thread order, then free the slices.
+    fn close_private(&mut self, partials: &[Partial], nthr: &str, bufs: &[String]) {
+        self.indent -= 1;
+        self.line("}");
+        for (p, buf) in partials.iter().zip(bufs) {
+            self.names.unbind(&p.var);
+            let dst = self.names.resolve(&p.var);
+            let n = p.numel;
+            let src = format!("{buf}[(size_t)__ft_t * {n} + __ft_k]");
+            let merge = match p.op {
+                ReduceOp::Add => format!("{dst}[__ft_k] += {src};"),
+                ReduceOp::Mul => format!("{dst}[__ft_k] *= {src};"),
+                ReduceOp::Min => format!("{dst}[__ft_k] = fmin({dst}[__ft_k], {src});"),
+                ReduceOp::Max => format!("{dst}[__ft_k] = fmax({dst}[__ft_k], {src});"),
+            };
+            self.line(&format!("for (int __ft_t = 0; __ft_t < {nthr}; ++__ft_t)"));
+            self.line(&format!(
+                "    for (size_t __ft_k = 0; __ft_k < {n}; ++__ft_k) {merge}"
+            ));
+            self.line(&format!("free({buf});"));
+        }
+        self.indent -= 1;
+        self.line("}");
+    }
+
     fn stmt(&mut self, s: &Stmt) {
         match &s.kind {
             StmtKind::Empty => {}
@@ -423,7 +722,7 @@ impl Emitter {
                         false
                     }
                     _ => match slot {
-                        Some(a) if a.name == *name && self.parallel_depth == 0 => {
+                        Some(a) if a.name == *name && !self.in_parallel => {
                             self.line(&format!(
                                 "{ty}* {ident} = ({ty}*)(__ft_arena_base + {});",
                                 a.offset
@@ -476,30 +775,45 @@ impl Emitter {
                 } else {
                     None
                 };
-                if property.parallel.is_parallel() {
-                    self.line("#pragma omp parallel for");
-                } else if property.vectorize {
-                    self.line("#pragma omp simd");
-                }
-                // Bounds are evaluated in the enclosing scope; the iterator
-                // is only in scope inside the loop.
+                // Bounds are evaluated in the enclosing scope (before any
+                // target is rebound to its private slice); the iterator is
+                // only in scope inside the loop.
                 let begin = self.expr(begin);
                 let end = self.expr(end);
+                let region = if property.parallel.is_parallel() {
+                    self.plan_region(iter, body)
+                } else {
+                    Region::Serial
+                };
+                let private = match &region {
+                    Region::Serial if property.vectorize => {
+                        self.line("#pragma omp simd");
+                        None
+                    }
+                    Region::Serial => None,
+                    Region::Plain => {
+                        self.line("#pragma omp parallel for");
+                        None
+                    }
+                    Region::Private(partials) => Some(self.open_private(partials)),
+                };
+                let opens_region = !matches!(region, Region::Serial);
                 let i = self.names.bind(iter);
                 self.line(&format!("for (int64_t {i} = {begin}; {i} < {end}; ++{i}) {{"));
                 self.indent += 1;
                 self.loop_depth += 1;
-                if property.parallel.is_parallel() {
-                    self.parallel_depth += 1;
-                }
+                self.in_parallel |= opens_region;
                 self.stmt(body);
-                if property.parallel.is_parallel() {
-                    self.parallel_depth -= 1;
+                if opens_region {
+                    self.in_parallel = false;
                 }
                 self.loop_depth -= 1;
                 self.indent -= 1;
                 self.line("}");
                 self.names.unbind(iter);
+                if let (Region::Private(partials), Some((nthr, bufs))) = (&region, private) {
+                    self.close_private(partials, &nthr, &bufs);
+                }
                 if let Some(k) = site {
                     self.line("clock_gettime(CLOCK_MONOTONIC, &__ft_t1);");
                     self.line(&format!(
@@ -546,16 +860,23 @@ impl Emitter {
             } => {
                 let lhs = self.index_expr(var, indices);
                 let rhs = self.expr(value);
+                // Only integer reductions stay atomic: a float reduction
+                // shared across a region was privatized or serialized by
+                // `plan_region`, and one into a def local to the region is
+                // only carried by a nested loop, which runs serially.
+                let sync = *atomic
+                    && self.in_parallel
+                    && !self.dtypes.get(var).is_some_and(|d| d.is_float());
                 match op {
                     ReduceOp::Add | ReduceOp::Mul => {
-                        if *atomic {
+                        if sync {
                             self.line("#pragma omp atomic");
                         }
                         let o = if *op == ReduceOp::Add { "+" } else { "*" };
                         self.line(&format!("{lhs} {o}= {rhs};"));
                     }
                     ReduceOp::Min | ReduceOp::Max => {
-                        if *atomic {
+                        if sync {
                             self.line("#pragma omp critical");
                         }
                         self.tmp += 1;
@@ -611,7 +932,14 @@ fn sanitize(name: &str) -> String {
 /// Emit a complete C translation unit (preamble + one function) for a
 /// CPU-scheduled function.
 pub fn emit_c(func: &Func) -> String {
-    emit_unit(func, None, false).0
+    emit_unit(func, None, false).src
+}
+
+/// [`emit_c`] plus the reduction lowering it chose for each parallel loop
+/// that shares a float reduction.
+pub fn emit_c_with_decisions(func: &Func) -> (String, Vec<ReduceDecision>) {
+    let unit = emit_unit(func, None, false);
+    (unit.src, unit.reductions)
 }
 
 /// Emit a *profiled* translation unit: the function gains a trailing
@@ -621,7 +949,8 @@ pub fn emit_c(func: &Func) -> String {
 /// so one profiled artifact serves both timed and untimed calls. Returns
 /// the source and the site table (slot `k` ↔ `sites[k]`).
 pub fn emit_c_profiled(func: &Func) -> (String, Vec<ProfSite>) {
-    emit_unit(func, None, true)
+    let unit = emit_unit(func, None, true);
+    (unit.src, unit.sites)
 }
 
 /// Emit a translation unit with *planned* `VarDef` storage: the function
@@ -643,14 +972,18 @@ pub fn emit_c_planned(
     plan: &ft_analysis::MemPlan,
     profile: bool,
 ) -> (String, Vec<ProfSite>) {
-    emit_unit(func, Some(plan), profile)
+    let unit = emit_unit(func, Some(plan), profile);
+    (unit.src, unit.sites)
 }
 
-fn emit_unit(
-    func: &Func,
-    plan: Option<&ft_analysis::MemPlan>,
-    profile: bool,
-) -> (String, Vec<ProfSite>) {
+/// An emitted translation unit and what the emitter decided on the way.
+struct Unit {
+    src: String,
+    sites: Vec<ProfSite>,
+    reductions: Vec<ReduceDecision>,
+}
+
+fn emit_unit(func: &Func, plan: Option<&ft_analysis::MemPlan>, profile: bool) -> Unit {
     let mut names = Mangler::new();
     let syms = bind_signature(&mut names, func);
     let arena: Vec<Option<ArenaSlot>> = plan.map_or_else(Vec::new, |pl| {
@@ -680,7 +1013,8 @@ fn emit_unit(
         loop_depth: 0,
         arena,
         def_idx: 0,
-        parallel_depth: 0,
+        in_parallel: false,
+        reductions: Vec::new(),
     };
     for p in &func.params {
         em.dtypes.insert(p.name.clone(), p.dtype);
@@ -705,9 +1039,18 @@ fn emit_unit(
     if profile {
         sig.push("uint64_t *__ft_prof".to_string());
     }
+    em.indent = 1;
+    em.stmt(&func.body);
     let mut out = String::from(PREAMBLE);
     if profile {
         out.push_str(PROF_PREAMBLE);
+    }
+    let privatizes = em
+        .reductions
+        .iter()
+        .any(|d| matches!(d.lowering, ReduceLowering::Privatize(_)));
+    if privatizes {
+        out.push_str(OMP_PREAMBLE);
     }
     let _ = writeln!(out, "\nvoid {}({}) {{", syms.func, sig.join(", "));
     if any_planned {
@@ -724,14 +1067,16 @@ fn emit_unit(
     } else if plan.is_some() {
         out.push_str("    (void)__ft_arena;\n");
     }
-    em.indent = 1;
-    em.stmt(&func.body);
     out.push_str(&em.out);
     if any_planned {
         out.push_str("    if (__ft_arena_owned) free(__ft_arena_base);\n");
     }
     out.push_str("}\n");
-    (out, em.prof.unwrap_or_default())
+    Unit {
+        src: out,
+        sites: em.prof.unwrap_or_default(),
+        reductions: em.reductions,
+    }
 }
 
 #[cfg(test)]
@@ -764,27 +1109,97 @@ mod tests {
         assert!(c.contains("void axpy(const float* x, float* y, int64_t n)"), "{c}");
         assert!(c.contains("#pragma omp parallel for"), "{c}");
         assert!(c.contains("y[i] = (y[i] + (x[i] * 2.0))"), "{c}");
+        // Only units that privatize carry the OpenMP shim.
+        assert!(!c.contains(OMP_PREAMBLE), "{c}");
     }
 
-    #[test]
-    fn emits_locals_and_atomics() {
-        let f = Func::new("f")
-            .param("h", [4], DataType::F32, AccessType::Output)
+    /// `h[idx[i]] op= 1` under a parallel `i` loop (the scatter reduction
+    /// `parallelize` marks atomic), with `extra` appended to the body.
+    fn scatter(dtype: DataType, op: ReduceOp, h_shape: Expr, extra: Vec<Stmt>) -> Func {
+        let reduce = Stmt::new(StmtKind::ReduceTo {
+            var: "h".to_string(),
+            indices: vec![Expr::cast(DataType::I64, load("idx", [var("i")]))],
+            op,
+            value: Expr::FloatConst(1.0),
+            atomic: true,
+        });
+        Func::new("f")
+            .param("h", [h_shape], dtype, AccessType::InOut)
             .param("idx", [64], DataType::I32, AccessType::Input)
+            .param("y", [64], DataType::F32, AccessType::Output)
+            .size_param("n")
             .body(for_with(
                 "i",
                 0,
                 64,
                 ForProperty::parallel(ParallelScope::OpenMp),
-                Stmt::new(StmtKind::ReduceTo {
-                    var: "h".to_string(),
-                    indices: vec![Expr::cast(DataType::I64, load("idx", [var("i")]))],
-                    op: ReduceOp::Add,
-                    value: Expr::FloatConst(1.0),
-                    atomic: true,
-                }),
-            ));
+                block(std::iter::once(reduce).chain(extra)),
+            ))
+    }
+
+    fn lowering(f: &Func) -> Vec<ReduceLowering> {
+        let (_, d) = emit_c_with_decisions(f);
+        d.into_iter().map(|d| d.lowering).collect()
+    }
+
+    #[test]
+    fn emits_locals_and_privatized_reductions() {
+        // A float reduction the parallel loop carries gets a private slice
+        // per thread, a static schedule and an ascending-thread-order
+        // merge after the region — never an atomic.
+        let f = scatter(DataType::F32, ReduceOp::Add, Expr::IntConst(4), vec![]);
         let c = emit_c(&f);
+        assert!(c.contains(OMP_PREAMBLE), "{c}");
+        assert!(
+            c.contains("const int __ft_nthr = omp_get_max_threads();"),
+            "{c}"
+        );
+        assert!(
+            c.contains("float* __ft_part = (float*)calloc((size_t)__ft_nthr * 4, sizeof(float));"),
+            "{c}"
+        );
+        assert!(
+            c.contains("float* h_2 = __ft_part + (size_t)omp_get_thread_num() * 4;"),
+            "{c}"
+        );
+        assert!(c.contains("h_2[((int64_t)idx[i])] += 1.0;"), "{c}");
+        assert!(c.contains("#pragma omp parallel\n"), "{c}");
+        assert!(c.contains("#pragma omp for schedule(static)"), "{c}");
+        // Thread-major, so every element folds its slices in thread order.
+        let merge = "for (int __ft_t = 0; __ft_t < __ft_nthr; ++__ft_t)\n            \
+                     for (size_t __ft_k = 0; __ft_k < 4; ++__ft_k) \
+                     h[__ft_k] += __ft_part[(size_t)__ft_t * 4 + __ft_k];";
+        let at = c.find(merge).unwrap_or_else(|| panic!("no merge in:\n{c}"));
+        assert!(
+            at > c.find("h_2[").unwrap(),
+            "merge must follow the region:\n{c}"
+        );
+        assert!(c.contains("free(__ft_part);"), "{c}");
+        assert!(
+            !c.contains("omp atomic") && !c.contains("omp critical"),
+            "{c}"
+        );
+        assert!(!c.contains("parallel for"), "{c}");
+        assert_eq!(lowering(&f), [ReduceLowering::Privatize(vec!["h".into()])]);
+        // Other operators start their slices at the identity and merge with
+        // the operator.
+        let c = emit_c(&scatter(
+            DataType::F64,
+            ReduceOp::Max,
+            Expr::IntConst(4),
+            vec![],
+        ));
+        assert!(c.contains("__ft_part[__ft_k] = -INFINITY;"), "{c}");
+        assert!(c.contains("h[__ft_k] = fmax(h[__ft_k], __ft_part["), "{c}");
+        assert!(!c.contains("omp critical"), "{c}");
+        // Integer atomics are deterministic and stay.
+        let c = emit_c(&scatter(
+            DataType::I32,
+            ReduceOp::Add,
+            Expr::IntConst(4),
+            vec![],
+        ));
+        assert!(c.contains("#pragma omp parallel for"), "{c}");
         assert!(c.contains("#pragma omp atomic"), "{c}");
         let f2 = Func::new("g")
             .param("y", [8], DataType::F32, AccessType::Output)
@@ -797,6 +1212,88 @@ mod tests {
             ));
         let c2 = emit_c(&f2);
         assert!(c2.contains("float t[8] = {0};"), "{c2}");
+    }
+
+    #[test]
+    fn float_reductions_that_cannot_privatize_serialize() {
+        let serial = |f: &Func, reason: &'static str| {
+            let c = emit_c(f);
+            assert!(!c.contains("omp parallel"), "{c}");
+            assert!(
+                !c.contains("omp atomic") && !c.contains("omp critical"),
+                "{c}"
+            );
+            assert_eq!(
+                lowering(f),
+                [ReduceLowering::Serialize {
+                    reason,
+                    target: "h".into(),
+                }]
+            );
+            assert!(
+                c.contains(&format!("/* for i: serialize {reason} (h) */")),
+                "{c}"
+            );
+        };
+        // The loop also loads the target, so partials would hide updates.
+        let read = store("y", [var("i")], load("h", [0]));
+        serial(
+            &scatter(DataType::F32, ReduceOp::Add, Expr::IntConst(4), vec![read]),
+            "target_read_in_loop",
+        );
+        serial(
+            &scatter(DataType::F32, ReduceOp::Add, var("n"), vec![]),
+            "symbolic_extent",
+        );
+        // An iteration-private `max=` would land in the `+=` slice.
+        let max = Stmt::new(StmtKind::ReduceTo {
+            var: "h".to_string(),
+            indices: vec![Expr::IntConst(0)],
+            op: ReduceOp::Max,
+            value: load("y", [var("i")]),
+            atomic: false,
+        });
+        serial(
+            &scatter(DataType::F32, ReduceOp::Add, Expr::IntConst(4), vec![max]),
+            "mixed_reduce_ops",
+        );
+        let over = (PRIVATE_BYTES_CAP / 4 + 1) as i64;
+        serial(
+            &scatter(DataType::F32, ReduceOp::Add, Expr::IntConst(over), vec![]),
+            "private_bytes_over_cap",
+        );
+    }
+
+    #[test]
+    fn nested_parallel_loops_emit_one_region() {
+        // The inner loop is marked parallel too (and carries the reduction
+        // itself); it runs as a plain `for` inside the outer region, which
+        // privatizes the target.
+        let reduce = Stmt::new(StmtKind::ReduceTo {
+            var: "h".to_string(),
+            indices: vec![Expr::cast(DataType::I64, load("idx", [var("j")]))],
+            op: ReduceOp::Add,
+            value: load("x", [var("i")]),
+            atomic: true,
+        });
+        let par = || ForProperty::parallel(ParallelScope::OpenMp);
+        let f = Func::new("f")
+            .param("h", [4], DataType::F32, AccessType::InOut)
+            .param("idx", [8], DataType::I32, AccessType::Input)
+            .param("x", [8], DataType::F32, AccessType::Input)
+            .body(for_with(
+                "i",
+                0,
+                8,
+                par(),
+                for_with("j", 0, 8, par(), reduce),
+            ));
+        let c = emit_c(&f);
+        assert_eq!(c.matches("#pragma omp parallel").count(), 1, "{c}");
+        assert!(c.contains("#pragma omp for schedule(static)"), "{c}");
+        assert!(c.contains("for (int64_t j = 0; j < 8; ++j)"), "{c}");
+        assert!(!c.contains("omp atomic"), "{c}");
+        assert_eq!(lowering(&f), [ReduceLowering::Privatize(vec!["h".into()])]);
     }
 
     #[test]
@@ -956,61 +1453,63 @@ mod tests {
         assert!(!emit_c(&f).contains("__ft_arena"));
     }
 
-    #[test]
-    fn profiled_c_compiles_if_cc_available() {
+    /// Syntax-check `src` with the host `cc`, with or without `-fopenmp`;
+    /// `false` when no `cc` is installed.
+    fn cc_accepts(src: &str, openmp: bool) -> bool {
         use std::io::Write as _;
         use std::process::{Command, Stdio};
-        let (c, _) = emit_c_profiled(&sample());
+        let mut args = vec!["-fsyntax-only", "-Werror=implicit-function-declaration"];
+        if openmp {
+            args.push("-fopenmp");
+        }
         let Ok(mut child) = Command::new("cc")
-            .args(["-fsyntax-only", "-fopenmp", "-xc", "-"])
+            .args(args)
+            .args(["-xc", "-"])
             .stdin(Stdio::piped())
             .stdout(Stdio::null())
             .stderr(Stdio::piped())
             .spawn()
         else {
             eprintln!("cc unavailable; skipping compile check");
-            return;
+            return false;
         };
         child
             .stdin
             .as_mut()
             .expect("piped stdin")
-            .write_all(c.as_bytes())
+            .write_all(src.as_bytes())
             .expect("write source");
         let out = child.wait_with_output().expect("cc runs");
         assert!(
             out.status.success(),
-            "cc rejected the profiled C:\n{}\n--- source ---\n{c}",
+            "cc (openmp: {openmp}) rejected the C:\n{}\n--- source ---\n{src}",
             String::from_utf8_lossy(&out.stderr)
         );
+        true
+    }
+
+    #[test]
+    fn profiled_c_compiles_if_cc_available() {
+        cc_accepts(&emit_c_profiled(&sample()).0, true);
     }
 
     #[test]
     fn generated_c_compiles_if_cc_available() {
-        use std::io::Write as _;
-        use std::process::{Command, Stdio};
-        let c = emit_c(&sample());
-        let Ok(mut child) = Command::new("cc")
-            .args(["-fsyntax-only", "-fopenmp", "-xc", "-"])
-            .stdin(Stdio::piped())
-            .stdout(Stdio::null())
-            .stderr(Stdio::piped())
-            .spawn()
-        else {
-            eprintln!("cc unavailable; skipping compile check");
-            return;
-        };
-        child
-            .stdin
-            .as_mut()
-            .expect("piped stdin")
-            .write_all(c.as_bytes())
-            .expect("write source");
-        let out = child.wait_with_output().expect("cc runs");
-        assert!(
-            out.status.success(),
-            "cc rejected the generated C:\n{}\n--- source ---\n{c}",
-            String::from_utf8_lossy(&out.stderr)
-        );
+        cc_accepts(&emit_c(&sample()), true);
+    }
+
+    #[test]
+    fn privatized_c_compiles_with_and_without_openmp() {
+        // The serial build relies on the preamble's omp_* shim.
+        let c = emit_c(&scatter(
+            DataType::F32,
+            ReduceOp::Mul,
+            Expr::IntConst(4),
+            vec![],
+        ));
+        assert!(c.contains("omp_get_thread_num()"), "{c}");
+        if cc_accepts(&c, true) {
+            cc_accepts(&c, false);
+        }
     }
 }
