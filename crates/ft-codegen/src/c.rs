@@ -24,8 +24,8 @@ static inline int64_t ft_fmod(int64_t a, int64_t b) {
     return (r != 0 && ((r < 0) != (b < 0))) ? r + b : r;
 }
 static inline double ft_sigmoid(double x) { return 1.0 / (1.0 + exp(-x)); }
-static inline void ft_lib_matmul(const float* A, const float* B, float* C,
-                                 int64_t m, int64_t k, int64_t n) {
+static inline void ft_lib_matmul(const float* restrict A, const float* restrict B,
+                                 float* restrict C, int64_t m, int64_t k, int64_t n) {
     for (int64_t i = 0; i < m; ++i)
         for (int64_t p = 0; p < k; ++p)
             for (int64_t j = 0; j < n; ++j)
@@ -48,6 +48,7 @@ pub const OMP_PREAMBLE: &str = "#ifdef _OPENMP
 #else
 static inline int omp_get_max_threads(void) { return 1; }
 static inline int omp_get_thread_num(void) { return 0; }
+static inline int omp_get_num_threads(void) { return 1; }
 #endif
 ";
 
@@ -74,9 +75,10 @@ enum CTy {
 /// mangle onto these.
 #[rustfmt::skip]
 const RESERVED: &[&str] = &[
-    "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_lib_matmul", "ft_entry", "__ft_prof", "__ft_t0",
-    "__ft_t1", "__ft_arena", "__ft_arena_base", "__ft_arena_owned", "__ft_t", "__ft_k",
-    "omp_get_max_threads", "omp_get_thread_num", "auto", "break", "case", "char",
+    "ft_fdiv", "ft_fmod", "ft_sigmoid", "ft_lib_matmul", "ft_entry", "ft_max_threads",
+    "__ft_prof", "__ft_t0", "__ft_t1", "__ft_arena", "__ft_arena_len", "__ft_arena_base",
+    "__ft_arena_owned", "__ft_t", "__ft_k", "__ft_s", "__ft_tid", "omp_get_max_threads",
+    "omp_get_thread_num", "omp_get_num_threads", "auto", "break", "case", "char",
     "const", "continue", "default", "do", "double", "else", "enum", "extern", "float", "for",
     "goto", "if", "inline", "int", "long", "register", "restrict", "return", "short", "signed",
     "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned", "void", "volatile",
@@ -224,9 +226,10 @@ pub const PRIVATE_BYTES_CAP: u64 = 1 << 20;
 /// Float `+`/`*`/`min`/`max` accumulated through `omp atomic` land in a
 /// different order on every run, so no float reduction shared by a
 /// parallel loop is ever lowered to an atomic: it is either privatized
-/// (one partial slice per thread, iterations split by `schedule(static)`,
-/// slices merged in ascending thread order after the region) or the loop
-/// runs serially. Either way the same program, inputs and thread count
+/// (thread 0 reduces into the target, every other thread into its own
+/// partial slice, iterations split by `schedule(static)`, slices merged in
+/// ascending thread order after the region; see [`PartialPlacement`]) or
+/// the loop runs serially. Either way the same program, inputs and thread count
 /// give bit-identical output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReduceDecision {
@@ -264,12 +267,75 @@ impl fmt::Display for ReduceDecision {
     }
 }
 
+/// How the emitter passed one OpenMP loop body, outlined into a static
+/// function, the tensors it touches.
+///
+/// Every tensor defined outside the body is a pointer parameter, qualified
+/// `restrict` (no other parameter of the call reaches the same bytes)
+/// unless its arena slot overlaps another passed tensor's; every free
+/// iterator or size variable is an `int64_t` parameter.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OutlineDecision {
+    /// The loop, labelled like [`ProfSite::desc`] (`for i`).
+    pub desc: String,
+    /// Tensor parameters of the outlined body.
+    pub tensors: usize,
+    /// The tensors passed without `restrict`: their arena slots overlap.
+    pub shared: Vec<String>,
+}
+
+impl fmt::Display for OutlineDecision {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {} tensors restrict", self.desc, self.tensors)?;
+        if !self.shared.is_empty() {
+            write!(f, " except {} (arena overlap)", self.shared.join(", "))?;
+        }
+        Ok(())
+    }
+}
+
+/// Where a unit's privatized regions keep their per-thread partials.
+///
+/// Thread 0 of a region reduces into the targets themselves; every other
+/// thread has a block holding its slice of every target of the region,
+/// 64-byte aligned. Regions never nest, so one area of `(team - 1) ×
+/// bytes_per_thread` serves every region of the unit in turn.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PartialPlacement {
+    /// In the caller's arena, after the planned defs. A region whose team
+    /// needs more than the arena's length (or gets a NULL arena) `calloc`s
+    /// its partials instead.
+    Arena { offset: u64, bytes_per_thread: u64 },
+    /// `calloc`ed on every region entry: the unit has no memory plan.
+    Calloc { bytes_per_thread: u64 },
+}
+
+impl fmt::Display for PartialPlacement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PartialPlacement::Arena {
+                offset,
+                bytes_per_thread,
+            } => write!(
+                f,
+                "arena: {bytes_per_thread} B per thread at offset {offset} \
+                 (calloc if the arena is NULL or too short for the team)"
+            ),
+            PartialPlacement::Calloc { bytes_per_thread } => {
+                write!(f, "calloc: {bytes_per_thread} B per thread, no memory plan")
+            }
+        }
+    }
+}
+
 /// One privatized reduction target of a parallel loop.
 struct Partial {
     var: String,
     dtype: DataType,
     op: ReduceOp,
     numel: u64,
+    /// Byte offset of the target's slice inside a thread's block.
+    offset: u64,
 }
 
 /// How a loop marked parallel is emitted.
@@ -278,21 +344,45 @@ enum Region {
     Serial,
     /// `omp parallel for`: it shares no float reduction.
     Plain,
-    /// `omp parallel` + `omp for schedule(static)` over per-thread partials.
-    Private(Vec<Partial>),
+    /// `omp parallel` + `omp for schedule(static)` over per-thread partials
+    /// in blocks of the given bytes.
+    Private(Vec<Partial>, u64),
 }
 
-/// What a parallel loop body does with the tensors defined outside it.
+/// The emitter temporaries of an open privatized region.
+struct PrivateRegion {
+    /// Base of the partial area.
+    base: String,
+    /// The team size the region ran with.
+    team: String,
+    /// Set when the partials were `calloc`ed (and must be freed).
+    owned: Option<String>,
+    block: u64,
+}
+
+/// Round `b` up to a whole number of 64-byte lines.
+fn align64(b: u64) -> u64 {
+    b.div_ceil(64) * 64
+}
+
+/// What a parallel loop body does with the tensors and variables defined
+/// outside it.
 #[derive(Default)]
 struct RegionScan {
     /// Defs opened inside the body around the current point.
     local: Vec<String>,
+    /// Iterators of loops inside the body around the current point.
+    bound: Vec<String>,
     /// Target, operator and atomic mark of every reduction into an outer
     /// tensor; the atomic-marked ones are those the loop (or a loop nested
     /// in it) carries.
     reduced: Vec<(String, ReduceOp, bool)>,
     /// Outer tensors the body loads, stores or passes to a library call.
     touched: HashSet<String>,
+    /// Every outer tensor the body uses, in first-use order.
+    tensors: Vec<String>,
+    /// Every free iterator or size variable, in first-use order.
+    vars: Vec<String>,
 }
 
 impl RegionScan {
@@ -300,9 +390,16 @@ impl RegionScan {
         !self.local.iter().any(|l| l == var)
     }
 
+    fn use_tensor(&mut self, var: &str) {
+        if self.outer(var) && !self.tensors.iter().any(|t| t == var) {
+            self.tensors.push(var.to_string());
+        }
+    }
+
     fn touch(&mut self, var: &str) {
         if self.outer(var) {
             self.touched.insert(var.to_string());
+            self.use_tensor(var);
         }
     }
 }
@@ -321,10 +418,27 @@ impl Visitor for RegionScan {
                 self.local.pop();
                 return;
             }
+            StmtKind::For {
+                iter,
+                begin,
+                end,
+                body,
+                ..
+            } => {
+                self.visit_expr(begin);
+                self.visit_expr(end);
+                self.bound.push(iter.clone());
+                self.visit_stmt(body);
+                self.bound.pop();
+                return;
+            }
             StmtKind::Store { var, .. } => self.touch(var),
             StmtKind::ReduceTo {
                 var, op, atomic, ..
-            } if self.outer(var) => self.reduced.push((var.clone(), *op, *atomic)),
+            } if self.outer(var) => {
+                self.reduced.push((var.clone(), *op, *atomic));
+                self.use_tensor(var);
+            }
             StmtKind::LibCall {
                 inputs, outputs, ..
             } => {
@@ -338,8 +452,12 @@ impl Visitor for RegionScan {
     }
 
     fn visit_expr(&mut self, e: &Expr) {
-        if let Expr::Load { var, .. } = e {
-            self.touch(var);
+        match e {
+            Expr::Load { var, .. } => self.touch(var),
+            Expr::Var(n) if !self.bound.contains(n) && !self.vars.contains(n) => {
+                self.vars.push(n.clone());
+            }
+            _ => {}
         }
         walk_expr(self, e);
     }
@@ -369,6 +487,23 @@ struct Emitter {
     /// Reduction lowering of every parallel loop that shares a float
     /// reduction, in emission order.
     reductions: Vec<ReduceDecision>,
+    /// C identifier of the emitted function (outlined bodies are named
+    /// after it).
+    func_ident: String,
+    /// C identifiers of the `Input` params, which outlined bodies take as
+    /// `const` pointers.
+    const_idents: HashSet<String>,
+    /// Arena byte range `(offset, bytes)` of every arena-placed def, by C
+    /// identifier.
+    arena_ranges: HashMap<String, (u64, u64)>,
+    /// The outlined loop bodies, emitted ahead of the function.
+    outlined: String,
+    /// How each outlined body was passed its tensors, in emission order.
+    outlines: Vec<OutlineDecision>,
+    /// Arena offset of the partial area: `Some` in a planned unit.
+    partial_offset: Option<u64>,
+    /// Largest per-thread partial block of any privatized region.
+    partial_bytes: u64,
 }
 
 impl Emitter {
@@ -584,6 +719,7 @@ impl Emitter {
                 dtype,
                 op,
                 numel,
+                offset: 0,
             });
         }
         let bytes: u64 = partials
@@ -602,7 +738,15 @@ impl Emitter {
             None if partials.is_empty() => return Region::Plain,
             None => {
                 let vars = partials.iter().map(|p| p.var.clone()).collect();
-                (Region::Private(partials), ReduceLowering::Privatize(vars))
+                let mut block = 0;
+                for p in &mut partials {
+                    p.offset = block;
+                    block += align64(p.numel * p.dtype.size_bytes() as u64);
+                }
+                (
+                    Region::Private(partials, block),
+                    ReduceLowering::Privatize(vars),
+                )
             }
         };
         let decision = ReduceDecision { desc, lowering };
@@ -611,76 +755,202 @@ impl Emitter {
         region
     }
 
-    /// Open a privatized region: one zeroed (identity-filled) allocation of
-    /// `omp_get_max_threads()` slices per target, the `omp parallel`
-    /// block, and each thread's slice bound to the target's IR name so the
-    /// body's reductions land in it. Returns the allocation identifiers.
-    fn open_private(&mut self, partials: &[Partial]) -> (String, Vec<String>) {
+    /// Open a privatized region: the `omp parallel` block, in which thread
+    /// 0 reduces into the targets themselves and every other thread binds
+    /// the targets' IR names to its own identity-filled slices, so the
+    /// body's reductions land there. The slices of threads `1..` sit in
+    /// `omp_get_max_threads() - 1` blocks of `block` bytes — in the arena
+    /// when it is long enough, else `calloc`ed.
+    fn open_private(&mut self, partials: &[Partial], block: u64) -> PrivateRegion {
         let nthr = self.names.fresh("__ft_nthr");
+        let base = self.names.fresh("__ft_part");
+        let team = self.names.fresh("__ft_team");
+        self.partial_bytes = self.partial_bytes.max(block);
         self.line("{");
         self.indent += 1;
         self.line(&format!("const int {nthr} = omp_get_max_threads();"));
-        let mut bufs = Vec::new();
-        for p in partials {
-            let ty = ctype(p.dtype);
-            let buf = self.names.fresh("__ft_part");
-            let n = p.numel;
-            self.line(&format!(
-                "{ty}* {buf} = ({ty}*)calloc((size_t){nthr} * {n}, sizeof({ty}));"
-            ));
-            let identity = match p.op {
-                ReduceOp::Add => None,
-                ReduceOp::Mul => Some("1.0"),
-                ReduceOp::Min => Some("INFINITY"),
-                ReduceOp::Max => Some("-INFINITY"),
-            };
-            if let Some(v) = identity {
+        let alloc = format!("(unsigned char*)calloc((size_t){nthr} - 1, {block})");
+        let owned = match self.partial_offset {
+            Some(off) => {
+                let owned = self.names.fresh("__ft_part_owned");
                 self.line(&format!(
-                    "for (size_t __ft_k = 0; __ft_k < (size_t){nthr} * {n}; ++__ft_k) \
-                     {buf}[__ft_k] = {v};"
+                    "const int {owned} = !__ft_arena || \
+                     __ft_arena_len < {off} + (uint64_t)({nthr} - 1) * {block};"
                 ));
+                self.line(&format!(
+                    "unsigned char* {base} = {owned} ? {alloc} : __ft_arena + {off};"
+                ));
+                Some(owned)
             }
-            bufs.push(buf);
-        }
+            None => {
+                self.line(&format!("unsigned char* {base} = {alloc};"));
+                None
+            }
+        };
+        self.line(&format!("int {team} = 1;"));
         self.line("#pragma omp parallel");
         self.line("{");
         self.indent += 1;
-        for (p, buf) in partials.iter().zip(&bufs) {
+        self.line("const int __ft_tid = omp_get_thread_num();");
+        let mut fills = Vec::new();
+        for p in partials {
             let ty = ctype(p.dtype);
+            let target = self.names.resolve(&p.var);
             let slice = self.names.bind(&p.var);
+            // Thread 0's slice is the target, with the target's storage.
+            if let Some(&r) = self.arena_ranges.get(&target) {
+                self.arena_ranges.insert(slice.clone(), r);
+            }
+            let identity = match p.op {
+                ReduceOp::Add => "0.0",
+                ReduceOp::Mul => "1.0",
+                ReduceOp::Min => "INFINITY",
+                ReduceOp::Max => "-INFINITY",
+            };
             self.line(&format!(
-                "{ty}* {slice} = {buf} + (size_t)omp_get_thread_num() * {};",
+                "{ty}* {slice} = __ft_tid == 0 ? {target} : \
+                 ({ty}*)({base} + (size_t)(__ft_tid - 1) * {block} + {});",
+                p.offset
+            ));
+            fills.push(format!(
+                "    for (size_t __ft_k = 0; __ft_k < {}; ++__ft_k) {slice}[__ft_k] = {identity};",
                 p.numel
             ));
         }
+        self.line("if (__ft_tid == 0) {");
+        self.line(&format!("    {team} = omp_get_num_threads();"));
+        self.line("} else {");
+        for f in &fills {
+            self.line(f);
+        }
+        self.line("}");
         self.line("#pragma omp for schedule(static)");
-        (nthr, bufs)
+        PrivateRegion {
+            base,
+            team,
+            owned,
+            block,
+        }
     }
 
-    /// Close a privatized region: fold every thread's slice into its target
-    /// in ascending thread order, then free the slices.
-    fn close_private(&mut self, partials: &[Partial], nthr: &str, bufs: &[String]) {
+    /// Close a privatized region: fold the slices of threads `1..` into
+    /// their targets in ascending thread order, then free `calloc`ed
+    /// partials.
+    fn close_private(&mut self, partials: &[Partial], r: PrivateRegion) {
         self.indent -= 1;
         self.line("}");
-        for (p, buf) in partials.iter().zip(bufs) {
+        let PrivateRegion {
+            base,
+            team,
+            owned,
+            block,
+        } = r;
+        for p in partials {
             self.names.unbind(&p.var);
             let dst = self.names.resolve(&p.var);
-            let n = p.numel;
-            let src = format!("{buf}[(size_t)__ft_t * {n} + __ft_k]");
+            let ty = ctype(p.dtype);
             let merge = match p.op {
-                ReduceOp::Add => format!("{dst}[__ft_k] += {src};"),
-                ReduceOp::Mul => format!("{dst}[__ft_k] *= {src};"),
-                ReduceOp::Min => format!("{dst}[__ft_k] = fmin({dst}[__ft_k], {src});"),
-                ReduceOp::Max => format!("{dst}[__ft_k] = fmax({dst}[__ft_k], {src});"),
+                ReduceOp::Add => format!("{dst}[__ft_k] += __ft_s[__ft_k];"),
+                ReduceOp::Mul => format!("{dst}[__ft_k] *= __ft_s[__ft_k];"),
+                ReduceOp::Min => format!("{dst}[__ft_k] = fmin({dst}[__ft_k], __ft_s[__ft_k]);"),
+                ReduceOp::Max => format!("{dst}[__ft_k] = fmax({dst}[__ft_k], __ft_s[__ft_k]);"),
             };
-            self.line(&format!("for (int __ft_t = 0; __ft_t < {nthr}; ++__ft_t)"));
+            self.line(&format!("for (int __ft_t = 1; __ft_t < {team}; ++__ft_t) {{"));
             self.line(&format!(
-                "    for (size_t __ft_k = 0; __ft_k < {n}; ++__ft_k) {merge}"
+                "    const {ty}* __ft_s = \
+                 (const {ty}*)({base} + (size_t)(__ft_t - 1) * {block} + {});",
+                p.offset
             ));
-            self.line(&format!("free({buf});"));
+            self.line(&format!(
+                "    for (size_t __ft_k = 0; __ft_k < {}; ++__ft_k) {merge}",
+                p.numel
+            ));
+            self.line("}");
+        }
+        match owned {
+            Some(owned) => self.line(&format!("if ({owned}) free({base});")),
+            None => self.line(&format!("free({base});")),
         }
         self.indent -= 1;
         self.line("}");
+    }
+
+    /// Emit the body of a loop that opens an OpenMP region as a static
+    /// function of its free tensors and variables (see
+    /// [`OutlineDecision`]) and return the call for one iteration. `cc`
+    /// inlines the single call and keeps the `restrict` qualifiers, so it
+    /// may vectorize and hoist inside the region as in serial code.
+    fn outline(&mut self, iter: &str, body: &Stmt) -> String {
+        let mut scan = RegionScan::default();
+        scan.visit_stmt(body);
+        let mut vars = scan.vars;
+        // Index linearization reads the extents of the passed tensors.
+        for t in &scan.tensors {
+            let mut extents = RegionScan::default();
+            for e in self.shapes[t].iter().skip(1) {
+                extents.visit_expr(e);
+            }
+            for v in extents.vars {
+                if !vars.contains(&v) {
+                    vars.push(v);
+                }
+            }
+        }
+        let idents: Vec<String> = scan.tensors.iter().map(|t| self.names.resolve(t)).collect();
+        let range = |i: usize| self.arena_ranges.get(&idents[i]);
+        let shared: Vec<bool> = (0..idents.len())
+            .map(|a| {
+                (0..idents.len()).any(|b| match (range(a), range(b)) {
+                    (Some(x), Some(y)) => a != b && x.0 < y.0 + y.1 && y.0 < x.0 + x.1,
+                    _ => false,
+                })
+            })
+            .collect();
+        let name = self
+            .names
+            .fresh(&format!("{}_par{}", self.func_ident, self.outlines.len()));
+        let mut params = Vec::new();
+        let mut args = Vec::new();
+        for ((t, ident), &shared) in scan.tensors.iter().zip(&idents).zip(&shared) {
+            let c = if self.const_idents.contains(ident) {
+                "const "
+            } else {
+                ""
+            };
+            let r = if shared { "" } else { " restrict" };
+            params.push(format!("{c}{}*{r} {ident}", ctype(self.dtypes[t])));
+            args.push(ident.clone());
+        }
+        for v in &vars {
+            let ident = self.names.resolve(v);
+            params.push(format!("int64_t {ident}"));
+            args.push(ident);
+        }
+        if params.is_empty() {
+            params.push("void".to_string());
+        }
+        let (out, indent) = (std::mem::take(&mut self.out), self.indent);
+        self.indent = 1;
+        self.stmt(body);
+        let src = std::mem::replace(&mut self.out, out);
+        self.indent = indent;
+        let _ = write!(
+            self.outlined,
+            "\nstatic void {name}({}) {{\n{src}}}\n",
+            params.join(", ")
+        );
+        self.outlines.push(OutlineDecision {
+            desc: format!("for {iter}"),
+            tensors: idents.len(),
+            shared: scan
+                .tensors
+                .iter()
+                .zip(&shared)
+                .filter(|(_, &s)| s)
+                .map(|(t, _)| t.clone())
+                .collect(),
+        });
+        format!("{name}({});", args.join(", "))
     }
 
     fn stmt(&mut self, s: &Stmt) {
@@ -727,6 +997,7 @@ impl Emitter {
                                 "{ty}* {ident} = ({ty}*)(__ft_arena_base + {});",
                                 a.offset
                             ));
+                            self.arena_ranges.insert(ident.clone(), (a.offset, a.bytes));
                             if a.must_zero {
                                 self.line(&format!("memset({ident}, 0, {});", a.bytes));
                             }
@@ -795,24 +1066,26 @@ impl Emitter {
                         self.line("#pragma omp parallel for");
                         None
                     }
-                    Region::Private(partials) => Some(self.open_private(partials)),
+                    Region::Private(partials, block) => Some(self.open_private(partials, *block)),
                 };
-                let opens_region = !matches!(region, Region::Serial);
                 let i = self.names.bind(iter);
                 self.line(&format!("for (int64_t {i} = {begin}; {i} < {end}; ++{i}) {{"));
                 self.indent += 1;
                 self.loop_depth += 1;
-                self.in_parallel |= opens_region;
-                self.stmt(body);
-                if opens_region {
+                if matches!(region, Region::Serial) {
+                    self.stmt(body);
+                } else {
+                    self.in_parallel = true;
+                    let call = self.outline(iter, body);
+                    self.line(&call);
                     self.in_parallel = false;
                 }
                 self.loop_depth -= 1;
                 self.indent -= 1;
                 self.line("}");
                 self.names.unbind(iter);
-                if let (Region::Private(partials), Some((nthr, bufs))) = (&region, private) {
-                    self.close_private(partials, &nthr, &bufs);
+                if let (Region::Private(partials, _), Some(r)) = (&region, private) {
+                    self.close_private(partials, r);
                 }
                 if let Some(k) = site {
                     self.line("clock_gettime(CLOCK_MONOTONIC, &__ft_t1);");
@@ -935,11 +1208,9 @@ pub fn emit_c(func: &Func) -> String {
     emit_unit(func, None, false).src
 }
 
-/// [`emit_c`] plus the reduction lowering it chose for each parallel loop
-/// that shares a float reduction.
-pub fn emit_c_with_decisions(func: &Func) -> (String, Vec<ReduceDecision>) {
-    let unit = emit_unit(func, None, false);
-    (unit.src, unit.reductions)
+/// [`emit_c`] with everything the emitter decided on the way.
+pub fn emit_c_unit(func: &Func) -> CUnit {
+    emit_unit(func, None, false)
 }
 
 /// Emit a *profiled* translation unit: the function gains a trailing
@@ -954,36 +1225,48 @@ pub fn emit_c_profiled(func: &Func) -> (String, Vec<ProfSite>) {
 }
 
 /// Emit a translation unit with *planned* `VarDef` storage: the function
-/// gains a trailing `unsigned char* __ft_arena` parameter (before
-/// `__ft_prof` when `profile` is set) and every def the plan placed becomes
-/// a pointer at a static offset into that arena — one allocation for the
-/// whole call instead of one `calloc` per def entry, zero-filled via
-/// `memset` only where the plan's liveness analysis could not prove
-/// write-before-read. Callers passing a NULL arena get a function-local
-/// `malloc`/`free` of the planned peak, so the kernel stays self-contained.
-/// Small constant-extent `CpuStack` defs keep their stack-array emission;
-/// defs the plan could not size fall back to `calloc` as before.
+/// gains trailing `unsigned char* __ft_arena, uint64_t __ft_arena_len`
+/// parameters (before `__ft_prof` when `profile` is set) and every def the
+/// plan placed becomes a pointer at a static offset into that arena — one
+/// allocation for the whole call instead of one `calloc` per def entry,
+/// zero-filled via `memset` only where the plan's liveness analysis could
+/// not prove write-before-read. Callers passing a NULL arena get a
+/// function-local `malloc`/`free` of the planned peak, so the kernel stays
+/// self-contained. Small constant-extent `CpuStack` defs keep their
+/// stack-array emission; defs the plan could not size fall back to
+/// `calloc` as before.
+///
+/// Privatized regions keep their per-thread partials in the arena after
+/// the planned peak ([`PartialPlacement::Arena`]): a caller that wants
+/// them there passes an arena of at least `offset + (team - 1) ×
+/// bytes_per_thread` bytes. A shorter (or NULL) arena makes each region
+/// `calloc` its partials; the kernel never writes past `__ft_arena_len`.
 ///
 /// The plan must have been computed for this exact `func` (same `VarDef`
 /// pre-order); a per-def name mismatch degrades that def to `calloc` rather
 /// than aliasing the wrong storage.
-pub fn emit_c_planned(
-    func: &Func,
-    plan: &ft_analysis::MemPlan,
-    profile: bool,
-) -> (String, Vec<ProfSite>) {
-    let unit = emit_unit(func, Some(plan), profile);
-    (unit.src, unit.sites)
+pub fn emit_c_planned(func: &Func, plan: &ft_analysis::MemPlan, profile: bool) -> CUnit {
+    emit_unit(func, Some(plan), profile)
 }
 
 /// An emitted translation unit and what the emitter decided on the way.
-struct Unit {
-    src: String,
-    sites: Vec<ProfSite>,
-    reductions: Vec<ReduceDecision>,
+#[derive(Debug, Clone)]
+pub struct CUnit {
+    /// The C source.
+    pub src: String,
+    /// Profiling sites of a profiled unit (slot `k` ↔ `sites[k]`).
+    pub sites: Vec<ProfSite>,
+    /// The reduction lowering of each parallel loop that shares a float
+    /// reduction.
+    pub reductions: Vec<ReduceDecision>,
+    /// How each outlined region body was passed its tensors.
+    pub outlines: Vec<OutlineDecision>,
+    /// Where the partials of privatized regions live; `None` when no region
+    /// privatizes.
+    pub partials: Option<PartialPlacement>,
 }
 
-fn emit_unit(func: &Func, plan: Option<&ft_analysis::MemPlan>, profile: bool) -> Unit {
+fn emit_unit(func: &Func, plan: Option<&ft_analysis::MemPlan>, profile: bool) -> CUnit {
     let mut names = Mangler::new();
     let syms = bind_signature(&mut names, func);
     let arena: Vec<Option<ArenaSlot>> = plan.map_or_else(Vec::new, |pl| {
@@ -1002,6 +1285,13 @@ fn emit_unit(func: &Func, plan: Option<&ft_analysis::MemPlan>, profile: bool) ->
         v
     });
     let any_planned = arena.iter().any(Option::is_some);
+    let const_idents = func
+        .params
+        .iter()
+        .zip(&syms.params)
+        .filter(|(p, _)| p.atype == AccessType::Input)
+        .map(|(_, ident)| ident.clone())
+        .collect();
     let mut em = Emitter {
         dtypes: HashMap::new(),
         shapes: HashMap::new(),
@@ -1015,6 +1305,13 @@ fn emit_unit(func: &Func, plan: Option<&ft_analysis::MemPlan>, profile: bool) ->
         def_idx: 0,
         in_parallel: false,
         reductions: Vec::new(),
+        func_ident: syms.func.clone(),
+        const_idents,
+        arena_ranges: HashMap::new(),
+        outlined: String::new(),
+        outlines: Vec::new(),
+        partial_offset: plan.map(|pl| align64(pl.planned_peak_bytes)),
+        partial_bytes: 0,
     };
     for p in &func.params {
         em.dtypes.insert(p.name.clone(), p.dtype);
@@ -1028,13 +1325,14 @@ fn emit_unit(func: &Func, plan: Option<&ft_analysis::MemPlan>, profile: bool) ->
         } else {
             ""
         };
-        sig.push(format!("{qual}{c}* {ident}"));
+        sig.push(format!("{qual}{c}* restrict {ident}"));
     }
     for ident in &syms.size_params {
         sig.push(format!("int64_t {ident}"));
     }
     if plan.is_some() {
         sig.push("unsigned char* __ft_arena".to_string());
+        sig.push("uint64_t __ft_arena_len".to_string());
     }
     if profile {
         sig.push("uint64_t *__ft_prof".to_string());
@@ -1045,13 +1343,19 @@ fn emit_unit(func: &Func, plan: Option<&ft_analysis::MemPlan>, profile: bool) ->
     if profile {
         out.push_str(PROF_PREAMBLE);
     }
-    let privatizes = em
-        .reductions
-        .iter()
-        .any(|d| matches!(d.lowering, ReduceLowering::Privatize(_)));
-    if privatizes {
+    let partials = (em.partial_bytes > 0).then_some(match em.partial_offset {
+        Some(offset) => PartialPlacement::Arena {
+            offset,
+            bytes_per_thread: em.partial_bytes,
+        },
+        None => PartialPlacement::Calloc {
+            bytes_per_thread: em.partial_bytes,
+        },
+    });
+    if partials.is_some() {
         out.push_str(OMP_PREAMBLE);
     }
+    out.push_str(&em.outlined);
     let _ = writeln!(out, "\nvoid {}({}) {{", syms.func, sig.join(", "));
     if any_planned {
         // A NULL arena means the caller did not preallocate: own a
@@ -1064,18 +1368,23 @@ fn emit_unit(func: &Func, plan: Option<&ft_analysis::MemPlan>, profile: bool) ->
             "    if (!__ft_arena_base) {{ __ft_arena_base = \
              (unsigned char*)malloc({peak}); __ft_arena_owned = 1; }}"
         );
-    } else if plan.is_some() {
+    } else if plan.is_some() && partials.is_none() {
         out.push_str("    (void)__ft_arena;\n");
+    }
+    if plan.is_some() && partials.is_none() {
+        out.push_str("    (void)__ft_arena_len;\n");
     }
     out.push_str(&em.out);
     if any_planned {
         out.push_str("    if (__ft_arena_owned) free(__ft_arena_base);\n");
     }
     out.push_str("}\n");
-    Unit {
+    CUnit {
         src: out,
         sites: em.prof.unwrap_or_default(),
         reductions: em.reductions,
+        outlines: em.outlines,
+        partials,
     }
 }
 
@@ -1106,7 +1415,10 @@ mod tests {
     #[test]
     fn emits_signature_and_pragma() {
         let c = emit_c(&sample());
-        assert!(c.contains("void axpy(const float* x, float* y, int64_t n)"), "{c}");
+        assert!(
+            c.contains("void axpy(const float* restrict x, float* restrict y, int64_t n)"),
+            "{c}"
+        );
         assert!(c.contains("#pragma omp parallel for"), "{c}");
         assert!(c.contains("y[i] = (y[i] + (x[i] * 2.0))"), "{c}");
         // Only units that privatize carry the OpenMP shim.
@@ -1138,8 +1450,11 @@ mod tests {
     }
 
     fn lowering(f: &Func) -> Vec<ReduceLowering> {
-        let (_, d) = emit_c_with_decisions(f);
-        d.into_iter().map(|d| d.lowering).collect()
+        emit_c_unit(f)
+            .reductions
+            .into_iter()
+            .map(|d| d.lowering)
+            .collect()
     }
 
     #[test]
@@ -1154,24 +1469,38 @@ mod tests {
             c.contains("const int __ft_nthr = omp_get_max_threads();"),
             "{c}"
         );
+        // One 64-byte block per thread but the first; unplanned, so
+        // `calloc`ed.
         assert!(
-            c.contains("float* __ft_part = (float*)calloc((size_t)__ft_nthr * 4, sizeof(float));"),
+            c.contains(
+                "unsigned char* __ft_part = (unsigned char*)calloc((size_t)__ft_nthr - 1, 64);"
+            ),
             "{c}"
         );
+        // In the region, thread 0 reduces into `h` itself; every other
+        // thread binds and identity-fills its own slice.
+        let slice = "float* h_2 = __ft_tid == 0 ? h : \
+                     (float*)(__ft_part + (size_t)(__ft_tid - 1) * 64 + 0);";
+        let at_slice = c.find(slice).unwrap_or_else(|| panic!("no slice in:\n{c}"));
+        assert!(at_slice > c.find("#pragma omp parallel\n").unwrap(), "{c}");
         assert!(
-            c.contains("float* h_2 = __ft_part + (size_t)omp_get_thread_num() * 4;"),
+            c.contains(
+                "} else {\n                \
+                 for (size_t __ft_k = 0; __ft_k < 4; ++__ft_k) h_2[__ft_k] = 0.0;\n            }"
+            ),
             "{c}"
         );
         assert!(c.contains("h_2[((int64_t)idx[i])] += 1.0;"), "{c}");
-        assert!(c.contains("#pragma omp parallel\n"), "{c}");
         assert!(c.contains("#pragma omp for schedule(static)"), "{c}");
-        // Thread-major, so every element folds its slices in thread order.
-        let merge = "for (int __ft_t = 0; __ft_t < __ft_nthr; ++__ft_t)\n            \
-                     for (size_t __ft_k = 0; __ft_k < 4; ++__ft_k) \
-                     h[__ft_k] += __ft_part[(size_t)__ft_t * 4 + __ft_k];";
+        // Thread-major over the team that ran, so every element folds its
+        // slices in thread order.
+        let merge = "for (int __ft_t = 1; __ft_t < __ft_team; ++__ft_t) {\n            \
+                     const float* __ft_s = \
+                     (const float*)(__ft_part + (size_t)(__ft_t - 1) * 64 + 0);\n            \
+                     for (size_t __ft_k = 0; __ft_k < 4; ++__ft_k) h[__ft_k] += __ft_s[__ft_k];";
         let at = c.find(merge).unwrap_or_else(|| panic!("no merge in:\n{c}"));
         assert!(
-            at > c.find("h_2[").unwrap(),
+            at > c.find("f_par0(h_2, idx, i);").unwrap(),
             "merge must follow the region:\n{c}"
         );
         assert!(c.contains("free(__ft_part);"), "{c}");
@@ -1189,8 +1518,8 @@ mod tests {
             Expr::IntConst(4),
             vec![],
         ));
-        assert!(c.contains("__ft_part[__ft_k] = -INFINITY;"), "{c}");
-        assert!(c.contains("h[__ft_k] = fmax(h[__ft_k], __ft_part["), "{c}");
+        assert!(c.contains("h_2[__ft_k] = -INFINITY;"), "{c}");
+        assert!(c.contains("h[__ft_k] = fmax(h[__ft_k], __ft_s[__ft_k]);"), "{c}");
         assert!(!c.contains("omp critical"), "{c}");
         // Integer atomics are deterministic and stay.
         let c = emit_c(&scatter(
@@ -1297,6 +1626,173 @@ mod tests {
     }
 
     #[test]
+    fn outlined_body_takes_free_iterators_and_sizes() {
+        // A parallel `i` loop inside a serial `j` loop over a symbolic
+        // extent: the body reads `j` and linearizes with `m`, so both are
+        // arguments of the outlined function, next to `i`.
+        let f = Func::new("f")
+            .param("x", [var("n"), var("m")], DataType::F32, AccessType::Input)
+            .param("y", [var("n"), var("m")], DataType::F32, AccessType::Output)
+            .size_param("n")
+            .size_param("m")
+            .body(for_(
+                "j",
+                0,
+                var("n"),
+                for_with(
+                    "i",
+                    0,
+                    var("m"),
+                    ForProperty::parallel(ParallelScope::OpenMp),
+                    store(
+                        "y",
+                        ft_ir::idx![var("j"), var("i")],
+                        load("x", ft_ir::idx![var("j"), var("i")]),
+                    ),
+                ),
+            ));
+        let unit = emit_c_unit(&f);
+        let c = &unit.src;
+        assert!(
+            c.contains(
+                "static void f_par0(float* restrict y, const float* restrict x, \
+                 int64_t j, int64_t i, int64_t m) {\n    \
+                 y[(j) * (m) + (i)] = x[(j) * (m) + (i)];\n}"
+            ),
+            "{c}"
+        );
+        assert!(
+            c.contains(
+                "#pragma omp parallel for\n        for (int64_t i = 0; i < m; ++i) {\n            \
+                 f_par0(y, x, j, i, m);\n        }"
+            ),
+            "{c}"
+        );
+        assert_eq!(unit.outlines.len(), 1);
+        assert_eq!(unit.outlines[0].to_string(), "for i: 2 tensors restrict");
+        cc_accepts(c, true);
+    }
+
+    #[test]
+    fn privatized_body_is_called_with_the_thread_slice() {
+        // Planned: the partials sit in the arena after the planned peak,
+        // unless the arena is NULL or too short for the team.
+        let f = scatter(DataType::F32, ReduceOp::Add, Expr::IntConst(20), vec![]);
+        let plan = ft_analysis::MemPlan::plan(&f, &HashMap::new());
+        assert_eq!(plan.planned_peak_bytes, 0);
+        let unit = emit_c_planned(&f, &plan, false);
+        let c = &unit.src;
+        assert_eq!(
+            unit.partials,
+            Some(PartialPlacement::Arena {
+                offset: 0,
+                bytes_per_thread: 128
+            })
+        );
+        assert!(
+            c.contains(
+                "const int __ft_part_owned = !__ft_arena || \
+                 __ft_arena_len < 0 + (uint64_t)(__ft_nthr - 1) * 128;\n        \
+                 unsigned char* __ft_part = __ft_part_owned ? \
+                 (unsigned char*)calloc((size_t)__ft_nthr - 1, 128) : __ft_arena + 0;"
+            ),
+            "{c}"
+        );
+        assert!(c.contains("if (__ft_part_owned) free(__ft_part);"), "{c}");
+        // The body reduces into its `h` parameter, which is the slice.
+        assert!(
+            c.contains(
+                "static void f_par0(float* restrict h_2, const int32_t* restrict idx, \
+                 int64_t i) {\n    h_2[((int64_t)idx[i])] += 1.0;\n}"
+            ),
+            "{c}"
+        );
+        assert!(
+            c.contains(
+                "#pragma omp for schedule(static)\n            \
+                 for (int64_t i = 0; i < 64; ++i) {\n                f_par0(h_2, idx, i);"
+            ),
+            "{c}"
+        );
+        assert_eq!(c.matches("calloc").count(), 1, "{c}");
+        if cc_accepts(c, true) {
+            cc_accepts(c, false);
+        }
+    }
+
+    #[test]
+    fn overlapping_arena_slots_lose_restrict() {
+        // `a` and `b` are both live across the parallel loop; a plan that
+        // packs them onto the same bytes (built by hand here) must not
+        // promise `cc` that they never alias.
+        let n = 16;
+        let f = Func::new("f")
+            .param("x", [n], DataType::F32, AccessType::Input)
+            .param("y", [n], DataType::F32, AccessType::Output)
+            .body(var_def(
+                "a",
+                [n],
+                DataType::F32,
+                MemType::CpuHeap,
+                var_def(
+                    "b",
+                    [n],
+                    DataType::F32,
+                    MemType::CpuHeap,
+                    for_with(
+                        "i",
+                        0,
+                        n,
+                        ForProperty::parallel(ParallelScope::OpenMp),
+                        block([
+                            store("a", [var("i")], load("x", [var("i")])),
+                            store("b", [var("i")], load("a", [var("i")])),
+                            store("y", [var("i")], load("b", [var("i")])),
+                        ]),
+                    ),
+                ),
+            ));
+        let mut plan = ft_analysis::MemPlan::plan(&f, &HashMap::new());
+        let disjoint = emit_c_planned(&f, &plan, false);
+        assert_eq!(disjoint.outlines[0].to_string(), "for i: 4 tensors restrict");
+        assert!(disjoint.src.contains("float* restrict a, "), "{}", disjoint.src);
+        for e in &mut plan.entries {
+            e.offset = Some(0);
+        }
+        let unit = emit_c_planned(&f, &plan, false);
+        let c = &unit.src;
+        assert!(
+            c.contains(
+                "static void f_par0(float* a, const float* restrict x, float* b, \
+                 float* restrict y, int64_t i)"
+            ),
+            "{c}"
+        );
+        assert_eq!(
+            unit.outlines[0].to_string(),
+            "for i: 4 tensors restrict except a, b (arena overlap)"
+        );
+    }
+
+    #[test]
+    fn profiled_region_is_bracketed_around_the_whole_nest() {
+        // The outermost loop opens the region: its site brackets the
+        // region (and the merge) in the caller, not the outlined body.
+        let f = scatter(DataType::F32, ReduceOp::Add, Expr::IntConst(4), vec![]);
+        let (c, sites) = emit_c_profiled(&f);
+        assert_eq!(sites.len(), 1, "{sites:?}");
+        assert_eq!(sites[0].desc, "for i");
+        let start = c.find("clock_gettime(CLOCK_MONOTONIC, &__ft_t0);").expect("start");
+        let stop = c.find("clock_gettime(CLOCK_MONOTONIC, &__ft_t1);").expect("stop");
+        let region = c.find("#pragma omp parallel\n").expect("region");
+        let merge = c.find("free(__ft_part);").expect("merge");
+        assert!(start < region && merge < stop, "{c}");
+        let body = &c[c.find("static void f_par0(").unwrap()..c.find("\nvoid f(").unwrap()];
+        assert!(!body.contains("clock_gettime"), "{body}");
+        cc_accepts(&c, true);
+    }
+
+    #[test]
     fn multi_dim_indexing_linearizes() {
         let f = Func::new("f")
             .param("a", [var("n"), var("m")], DataType::F64, AccessType::Output)
@@ -1336,7 +1832,7 @@ mod tests {
         assert_ne!(syms.params[0], syms.params[1], "{syms:?}");
         let c = emit_c(&f);
         let sig = format!(
-            "void {}(const float* {}, float* {})",
+            "void {}(const float* restrict {}, float* restrict {})",
             syms.func, syms.params[0], syms.params[1]
         );
         assert!(c.contains(&sig), "expected `{sig}` in:\n{c}");
@@ -1436,7 +1932,7 @@ mod tests {
         let sizes = HashMap::from([("n".to_string(), 256i64)]);
         let plan = ft_analysis::MemPlan::plan(&f, &sizes);
         assert!(plan.planned_peak_bytes > 0, "{plan:?}");
-        let (c, sites) = emit_c_planned(&f, &plan, false);
+        let CUnit { src: c, sites, .. } = emit_c_planned(&f, &plan, false);
         assert!(sites.is_empty());
         assert!(c.contains("unsigned char* __ft_arena"), "{c}");
         assert!(c.contains("float* t = (float*)(__ft_arena_base + 0);"), "{c}");

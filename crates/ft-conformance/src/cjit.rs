@@ -174,7 +174,7 @@ fn run_c_impl(
     // Generate the translation unit: emitted kernel + main() driver.
     let mut src = if planned {
         let plan = ft_analysis::MemPlan::plan(func, sizes);
-        ft_codegen::emit_c_planned(func, &plan, false).0
+        ft_codegen::emit_c_planned(func, &plan, false).src
     } else {
         ft_codegen::emit_c(func)
     };
@@ -215,9 +215,11 @@ fn run_c_impl(
         args.push(format!("(int64_t){v}"));
     }
     if planned {
-        // Planned signatures take the arena pointer last; NULL selects the
-        // kernel's internal malloc fallback.
+        // Planned signatures take the arena pointer and length last; NULL
+        // selects the kernel's internal malloc (and partial calloc)
+        // fallback.
         args.push("(unsigned char*)0".to_string());
+        args.push("0".to_string());
     }
     let _ = writeln!(src, "    {}({});", syms.func, args.join(", "));
     for (i, (_, c, shape, dtype, atype)) in shapes.iter().enumerate() {

@@ -306,7 +306,8 @@ impl ThreadedBufPool {
 
 /// The flat backing allocation handed to generated C as
 /// `unsigned char* __ft_arena`. Offsets inside are the plan's class
-/// offsets; the base pointer is aligned to [`ARENA_ALIGN`].
+/// offsets, followed by the per-thread reduction partials of privatized
+/// regions; the base pointer is aligned to [`ARENA_ALIGN`].
 #[derive(Debug)]
 pub(crate) struct NativeArena {
     plan_hash: u64,
@@ -315,9 +316,9 @@ pub(crate) struct NativeArena {
 }
 
 impl NativeArena {
-    /// An arena of `planned_peak_bytes` for the plan hashing to `plan_hash`.
-    pub(crate) fn new(plan_hash: u64, planned_peak_bytes: u64) -> NativeArena {
-        let buf = vec![0u8; planned_peak_bytes as usize + ARENA_ALIGN as usize];
+    /// An arena of `bytes` for the plan hashing to `plan_hash`.
+    pub(crate) fn new(plan_hash: u64, bytes: u64) -> NativeArena {
+        let buf = vec![0u8; bytes as usize + ARENA_ALIGN as usize];
         let pad = buf.as_ptr().align_offset(ARENA_ALIGN as usize);
         NativeArena {
             plan_hash,
@@ -332,6 +333,11 @@ impl NativeArena {
 
     pub(crate) fn bytes(&self) -> u64 {
         self.buf.len() as u64
+    }
+
+    /// Usable bytes from [`ptr`](NativeArena::ptr) on.
+    pub(crate) fn len(&self) -> u64 {
+        (self.buf.len() - self.pad) as u64
     }
 
     pub(crate) fn ptr(&mut self) -> *mut u8 {
@@ -631,20 +637,16 @@ impl RunContext {
         self.threaded_pool.as_ref().expect("just filled").clone()
     }
 
-    /// The compiled engine's flat arena of `planned_peak_bytes` for the
-    /// plan hashing to `plan_hash`, rebuilt on plan change. Counts a fresh
+    /// The compiled engine's flat arena of at least `bytes` for the plan
+    /// hashing to `plan_hash`, rebuilt on plan change. Counts a fresh
     /// allocation (vs a reuse hit) in the staging stats.
-    pub(crate) fn native_arena_for(
-        &mut self,
-        plan_hash: u64,
-        planned_peak_bytes: u64,
-    ) -> &mut NativeArena {
+    pub(crate) fn native_arena_for(&mut self, plan_hash: u64, bytes: u64) -> &mut NativeArena {
         match &self.native_arena {
-            Some(a) if a.plan_hash() == plan_hash => self.stats.hit(),
+            Some(a) if a.plan_hash() == plan_hash && a.len() >= bytes => self.stats.hit(),
             prev => {
                 let freed = prev.as_ref().map_or(0, NativeArena::bytes);
                 self.stats.bytes_held = self.stats.bytes_held.saturating_sub(freed);
-                let a = NativeArena::new(plan_hash, planned_peak_bytes);
+                let a = NativeArena::new(plan_hash, bytes);
                 self.stats.miss(a.bytes());
                 self.native_arena = Some(a);
             }

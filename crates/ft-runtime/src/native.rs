@@ -29,7 +29,16 @@
 //! agree to rounding error, not bit-for-bit — the conformance harness
 //! compares this backend under its usual tolerances. `-ffp-contract=off`
 //! keeps the compiler from fusing multiply-adds so the difference stays
-//! bounded by that rounding story.
+//! bounded by that rounding story. `-fno-math-errno` changes no result bit
+//! (nothing reads `errno`) but lets `cc` treat `exp`, `sqrt` and friends as
+//! pure, so it can hoist and vectorize them.
+//!
+//! Aliasing: the generated function and the outlined bodies of its OpenMP
+//! regions take tensor pointers `restrict`-qualified, so a call must never
+//! hand a written parameter (`InOut`, `Output`, `Cache`) storage that
+//! overlaps another parameter's. Every written parameter is an owned
+//! buffer of the engine; debug builds check the contract on each call.
+//! Read-only aliasing (one buffer behind two `Input` names) is legal.
 
 use crate::arena::{CtxBinding, RunContext};
 use crate::counters::PerfCounters;
@@ -39,7 +48,7 @@ use crate::interp::RunResult;
 use crate::process::output_with_timeout;
 use crate::value::TensorVal;
 use ft_analysis::MemPlan;
-use ft_codegen::{c_symbols, emit_c_planned, ProfSite};
+use ft_codegen::{c_symbols, emit_c_planned_traced, CUnit, PartialPlacement, ProfSite};
 use ft_ir::{AccessType, BinaryOp, DataType, Expr, Func};
 use ft_metrics::Metrics;
 use ft_trace::{Decision, ProfileNode, RunProfile, StmtCounters, TraceSink, Verdict, TRACK_RUNTIME};
@@ -56,17 +65,25 @@ use std::time::{Duration, Instant};
 /// a trailing `uint64_t *prof` parameter (NULL when profiling is off).
 /// v3: an `unsigned char *arena` parameter between `sizes` and `prof` — the
 /// preallocated backing block for memory-planned `VarDef`s (NULL makes the
-/// kernel malloc/free its own).
-const ABI_VERSION: u32 = 3;
+/// kernel malloc/free its own). v4: a `uint64_t arena_len` after `arena`,
+/// so reduction partials placed after the planned defs never run past it.
+const ABI_VERSION: u32 = 4;
 
 /// Entry-point signature of every generated shared object:
 /// `void ft_entry(void **params, const int64_t *sizes, unsigned char *arena,
-/// uint64_t *prof)` with tensor parameters in declaration order followed by
-/// size parameters in declaration order. `arena` backs planned local defs
-/// (NULL = kernel-owned). `prof` is only read by profiled builds (slot `k`
-/// accumulates wall nanoseconds for outermost loop nest `k`); unprofiled
-/// builds ignore it and callers pass NULL.
-type EntryFn = unsafe extern "C" fn(*mut *mut c_void, *const i64, *mut c_void, *mut u64);
+/// uint64_t arena_len, uint64_t *prof)` with tensor parameters in
+/// declaration order followed by size parameters in declaration order.
+/// `arena` backs planned local defs and, after them, the per-thread
+/// partials of privatized regions (NULL = kernel-owned defs, `calloc`ed
+/// partials); `arena_len` is its usable length. `prof` is only read by
+/// profiled builds (slot `k` accumulates wall nanoseconds for outermost
+/// loop nest `k`); unprofiled builds ignore it and callers pass NULL.
+type EntryFn = unsafe extern "C" fn(*mut *mut c_void, *const i64, *mut c_void, u64, *mut u64);
+
+/// `int ft_max_threads(void)`, exported by units whose partials live in
+/// the arena: `omp_get_max_threads()` as the kernel's OpenMP runtime sees
+/// it (1 in a serial build), the team size the arena is sized for.
+type MaxThreadsFn = unsafe extern "C" fn() -> i32;
 
 /// Whether a host C compiler is available (memoized per process).
 pub fn cc_available() -> bool {
@@ -101,6 +118,9 @@ struct PreparedKernel {
     size_vals: Vec<i64>,
     params: Vec<ParamSlot>,
     plan_hash: u64,
+    /// Planned peak plus the partial area for a team of
+    /// `omp_get_max_threads()` at prepare time (one block per thread but
+    /// the first).
     arena_bytes: u64,
     run_peak_bytes: u64,
     binding: CtxBinding,
@@ -171,7 +191,8 @@ impl Executable {
     }
 
     /// Planned peak bytes of one run: arena plus parameter buffers (see
-    /// [`MemPlan::run_peak_bytes`]).
+    /// [`MemPlan::run_peak_bytes`]) plus the reduction partials of a full
+    /// OpenMP team.
     pub fn run_peak_bytes(&self) -> u64 {
         self.kernel.run_peak_bytes
     }
@@ -447,18 +468,23 @@ impl CompiledEngine {
 
     /// The complete translation unit handed to `cc`: the memory-planned
     /// emitted function plus the fixed-ABI `ft_entry` wrapper that unpacks
-    /// the untyped parameter array and calls it. The plan is computed with
-    /// the run's concrete sizes, so arena offsets are compile-time constants
-    /// — distinct size bindings emit (and cache) distinct kernels. Profiled
+    /// the untyped parameter array and calls it (and `ft_max_threads` when
+    /// partials live in the arena). The plan is computed with the run's
+    /// concrete sizes, so arena offsets are compile-time constants —
+    /// distinct size bindings emit (and cache) distinct kernels. Profiled
     /// units thread the prof array through to the emitted function;
     /// unprofiled units discard it, so the entry signature is the same
     /// across both.
-    fn source_for(&self, func: &Func, plan: &MemPlan) -> (String, Vec<ProfSite>) {
-        let (mut src, sites) = emit_c_planned(func, plan, self.profile);
+    fn source_for(&self, func: &Func, plan: &MemPlan) -> CUnit {
+        let mut unit = emit_c_planned_traced(func, plan, self.profile, self.sink.as_ref());
         let syms = c_symbols(func);
+        let src = &mut unit.src;
+        if matches!(unit.partials, Some(PartialPlacement::Arena { .. })) {
+            src.push_str("\nint ft_max_threads(void) { return omp_get_max_threads(); }\n");
+        }
         src.push_str(
             "\nvoid ft_entry(void **params, const int64_t *sizes, \
-             unsigned char *arena, uint64_t *prof) {\n",
+             unsigned char *arena, uint64_t arena_len, uint64_t *prof) {\n",
         );
         let mut call_args: Vec<String> = Vec::new();
         for (i, p) in func.params.iter().enumerate() {
@@ -470,13 +496,14 @@ impl CompiledEngine {
             call_args.push(format!("sizes[{i}]"));
         }
         call_args.push("arena".to_string());
+        call_args.push("arena_len".to_string());
         if self.profile {
             call_args.push("prof".to_string());
         } else {
             src.push_str("    (void)prof;\n");
         }
         src.push_str(&format!("    {}({});\n}}\n", syms.func, call_args.join(", ")));
-        (src, sites)
+        unit
     }
 
     fn note_cache(&self, hash: u64, hit: bool) {
@@ -694,7 +721,12 @@ impl CompiledEngine {
             .collect::<Result<_, RuntimeError>>()?;
         let plan = MemPlan::plan(func, sizes);
         crate::arena::publish_plan(self.sink.as_ref(), self.metrics.as_ref(), &func.name, &plan);
-        let (src, sites) = self.source_for(func, &plan);
+        let CUnit {
+            src,
+            sites,
+            partials,
+            ..
+        } = self.source_for(func, &plan);
         // The plan hash participates in the key (belt and braces — planned
         // offsets are already baked into the source).
         let hash = fnv1a(&[
@@ -710,6 +742,23 @@ impl CompiledEngine {
         // participates in the key.
         let entry = *unsafe { lib.get::<EntryFn>(b"ft_entry\0") }
             .map_err(|e| RuntimeError::Native(format!("resolve ft_entry: {e}")))?;
+        // Room after the planned defs for the partials of every thread of a
+        // full team but thread 0, which reduces into the targets; a larger
+        // team at call time makes the kernel calloc them.
+        let arena_bytes = match partials {
+            Some(PartialPlacement::Arena {
+                offset,
+                bytes_per_thread,
+            }) => {
+                // SAFETY: units with arena partials export ft_max_threads
+                // (see `source_for`); its type is fixed by ABI_VERSION.
+                let max_threads = *unsafe { lib.get::<MaxThreadsFn>(b"ft_max_threads\0") }
+                    .map_err(|e| RuntimeError::Native(format!("resolve ft_max_threads: {e}")))?;
+                let team = unsafe { max_threads() }.max(1) as u64;
+                offset + (team - 1) * bytes_per_thread
+            }
+            _ => plan.planned_peak_bytes,
+        };
         Ok(Arc::new(PreparedKernel {
             func_name: func.name.clone(),
             entry,
@@ -718,8 +767,9 @@ impl CompiledEngine {
             size_vals,
             params,
             plan_hash: plan.plan_hash(),
-            arena_bytes: plan.planned_peak_bytes,
-            run_peak_bytes: plan.run_peak_bytes(func, sizes),
+            arena_bytes,
+            run_peak_bytes: plan.run_peak_bytes(func, sizes) + arena_bytes
+                - plan.planned_peak_bytes,
             binding: CtxBinding::new(func, sizes, &plan),
             _lib: lib,
         }))
@@ -782,8 +832,11 @@ impl CompiledEngine {
     }
 }
 
-const CC_FLAGS: &str = "-O2 -fPIC -shared -ffp-contract=off -fopenmp";
-const CC_FLAGS_SERIAL: &str = "-O2 -fPIC -shared -ffp-contract=off";
+/// `cc` flags of a kernel build. The serial set is the fallback for
+/// toolchains without OpenMP.
+pub const CC_FLAGS: &str = "-O2 -fPIC -shared -ffp-contract=off -fno-math-errno -fopenmp";
+/// See [`CC_FLAGS`].
+pub const CC_FLAGS_SERIAL: &str = "-O2 -fPIC -shared -ffp-contract=off -fno-math-errno";
 
 /// Keep the OpenMP runtime loaded for the rest of the process. Kernels
 /// built with `-fopenmp` pull in `libgomp`; if `dlclose` of the last such
@@ -985,25 +1038,15 @@ impl PreparedKernel {
         };
         // A RunContext preallocates the plan's arena once and hands the
         // same block to every call; without one the kernel mallocs its own.
-        let arena_ptr: *mut c_void = match rctx.as_deref_mut() {
-            Some(c) => c.native_arena_for(self.plan_hash, self.arena_bytes).ptr() as *mut c_void,
-            None => std::ptr::null_mut(),
+        let (arena_ptr, arena_len) = match rctx.as_deref_mut() {
+            Some(c) => {
+                let a = c.native_arena_for(self.plan_hash, self.arena_bytes);
+                (a.ptr() as *mut c_void, a.len())
+            }
+            None => (std::ptr::null_mut(), 0),
         };
         let call_t0 = Instant::now();
-        // SAFETY: pointer array length and element types match the
-        // generated ft_entry (same Func produced both); buffers outlive
-        // the call; size values are passed by const pointer; arena_ptr is
-        // NULL or points at planned_peak_bytes of storage for the plan the
-        // kernel was emitted from; prof_ptr is NULL or points at
-        // sites.len() slots, matching the profiled build.
-        unsafe {
-            (self.entry)(
-                ptrs.as_mut_ptr(),
-                self.size_vals.as_ptr(),
-                arena_ptr,
-                prof_ptr,
-            )
-        };
+        self.call(&mut ptrs, arena_ptr, arena_len, prof_ptr);
         let call_ns = call_t0.elapsed().as_nanos() as u64;
         if let Some(m) = metrics {
             m.histogram("engine.compiled.kernel_us").record(call_ns / 1000);
@@ -1040,6 +1083,33 @@ impl PreparedKernel {
             outputs,
             counters: PerfCounters::default(),
         })
+    }
+
+    /// Call the kernel on bound parameter pointers.
+    ///
+    /// Debug builds check the `restrict` contract of the generated C: no
+    /// written parameter overlaps another parameter's bytes.
+    fn call(&self, ptrs: &mut [*mut c_void], arena: *mut c_void, arena_len: u64, prof: *mut u64) {
+        debug_assert_eq!(
+            written_alias(&self.params, ptrs),
+            None,
+            "a written parameter overlaps another (the generated C takes restrict pointers)"
+        );
+        // SAFETY: pointer array length and element types match the
+        // generated ft_entry (same Func produced both); buffers outlive
+        // the call; size values are passed by const pointer; arena is NULL
+        // or points at arena_len bytes of storage, at least planned peak
+        // bytes for the plan the kernel was emitted from; prof is NULL or
+        // points at sites.len() slots, matching the profiled build.
+        unsafe {
+            (self.entry)(
+                ptrs.as_mut_ptr(),
+                self.size_vals.as_ptr(),
+                arena,
+                arena_len,
+                prof,
+            )
+        };
     }
 
     /// Publish the per-loop-nest timings of a profiled run as a
@@ -1088,6 +1158,27 @@ impl PreparedKernel {
             nodes,
         });
     }
+}
+
+/// The first pair `(written, other)` of parameters whose byte ranges
+/// overlap, where `written` is an `InOut`, `Output` or `Cache` parameter.
+fn written_alias(params: &[ParamSlot], ptrs: &[*mut c_void]) -> Option<(usize, usize)> {
+    let range = |i: usize| {
+        let p = &params[i];
+        let start = ptrs[i] as usize;
+        (start, start + p.shape.iter().product::<usize>() * p.dtype.size_bytes())
+    };
+    (0..params.len())
+        .filter(|&w| params[w].atype != AccessType::Input)
+        .find_map(|w| {
+            let (a0, a1) = range(w);
+            (0..params.len())
+                .find(|&o| {
+                    let (b0, b1) = range(o);
+                    o != w && a0 < a1 && b0 < b1 && a0 < b1 && b0 < a1
+                })
+                .map(|o| (w, o))
+        })
 }
 
 #[cfg(test)]
@@ -1262,8 +1353,16 @@ mod tests {
         let prof = plain.clone().with_profiling(true);
         let f = axpy();
         let plan = MemPlan::plan(&f, &HashMap::from([("n".to_string(), 8i64)]));
-        let (src_plain, sites_plain) = plain.source_for(&f, &plan);
-        let (src_prof, sites_prof) = prof.source_for(&f, &plan);
+        let CUnit {
+            src: src_plain,
+            sites: sites_plain,
+            ..
+        } = plain.source_for(&f, &plan);
+        let CUnit {
+            src: src_prof,
+            sites: sites_prof,
+            ..
+        } = prof.source_for(&f, &plan);
         assert_ne!(src_plain, src_prof);
         assert!(sites_plain.is_empty());
         assert_eq!(sites_prof.len(), 1);
@@ -1335,6 +1434,132 @@ mod tests {
             warm.counter("mem.arena.reuse_hits") > cold.counter("mem.arena.reuse_hits"),
             "{warm:?}"
         );
+    }
+
+    /// `h[idx[i]] += x[i]` under a parallel `i` loop: a float scatter
+    /// reduction the emitter privatizes.
+    fn scatter_add() -> Func {
+        let reduce = ft_ir::Stmt::new(ft_ir::StmtKind::ReduceTo {
+            var: "h".to_string(),
+            indices: vec![load("idx", [var("i")])],
+            op: ft_ir::ReduceOp::Add,
+            value: load("x", [var("i")]),
+            atomic: true,
+        });
+        Func::new("scatter_add")
+            .param("h", [4], DataType::F32, AccessType::InOut)
+            .param("idx", [64], DataType::I32, AccessType::Input)
+            .param("x", [64], DataType::F32, AccessType::Input)
+            .body(for_with(
+                "i",
+                0,
+                64,
+                ForProperty::parallel(ParallelScope::OpenMp),
+                reduce,
+            ))
+    }
+
+    /// With a context the partials live in the arena, sized for the team
+    /// the kernel reports and counted in `run_peak_bytes`; a NULL or short
+    /// arena makes the kernel `calloc` them. All three give the same bits.
+    #[test]
+    fn privatized_partials_come_from_the_arena() {
+        if !cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let f = scatter_add();
+        let eng = CompiledEngine::with_cache_dir(tmp_cache("partials"));
+        let no_sizes = HashMap::new();
+        let exe = eng.prepare(&f, &no_sizes).expect("prepare");
+        let plan = MemPlan::plan(&f, &no_sizes);
+        let k = &exe.kernel;
+        // 4 floats round up to one 64-byte block per thread but the first.
+        let partial_area = k.arena_bytes - plan.planned_peak_bytes;
+        assert_eq!(partial_area % 64, 0, "{partial_area}");
+        assert_eq!(
+            exe.run_peak_bytes(),
+            plan.run_peak_bytes(&f, &no_sizes) + partial_area
+        );
+        let idx: Vec<i32> = (0..64).map(|i| (i * 7) % 4).collect();
+        let x: Vec<f32> = (0..64).map(|i| 0.1 * i as f32).collect();
+        let inputs = HashMap::from([
+            ("h".to_string(), TensorVal::from_f32(&[4], vec![1.0; 4])),
+            ("idx".to_string(), TensorVal::from_i32(&[64], idx.clone())),
+            ("x".to_string(), TensorVal::from_f32(&[64], x.clone())),
+        ]);
+        let mut ctx = exe.new_context();
+        let arena = exe.run(&mut ctx, &inputs).expect("arena run").outputs["h"].to_f64_vec();
+        let mut want = [1.0f64; 4];
+        for (&j, &v) in idx.iter().zip(&x) {
+            want[j as usize] += v as f64;
+        }
+        for (a, w) in arena.iter().zip(want) {
+            assert!((a - w).abs() < 1e-4, "{arena:?} vs {want:?}");
+        }
+        assert_eq!(ctx.native_arena.as_ref().map(|a| a.len() >= k.arena_bytes), Some(true));
+        let null = eng.run(&f, &inputs, &no_sizes).expect("NULL arena run");
+        assert_eq!(null.outputs["h"].to_f64_vec(), arena);
+        // A non-NULL arena too short for any team.
+        let mut h = TensorVal::from_f32(&[4], vec![1.0; 4]);
+        let (idx, x) = (&inputs["idx"], &inputs["x"]);
+        let mut ptrs = [
+            h.as_mut_ptr_untyped(),
+            idx.as_ptr_untyped() as *mut c_void,
+            x.as_ptr_untyped() as *mut c_void,
+        ];
+        let mut short = [0xa5u8; 64];
+        let arena_ptr = short.as_mut_ptr() as *mut c_void;
+        k.call(&mut ptrs, arena_ptr, plan.planned_peak_bytes, std::ptr::null_mut());
+        assert_eq!(h.to_f64_vec(), arena);
+        assert!(short.iter().all(|&b| b == 0xa5), "wrote past the arena's length");
+    }
+
+    /// Read-only aliasing is inside the `restrict` contract: one buffer
+    /// passed as both inputs of `y = a + b` gives `2a`. A written parameter
+    /// over another's bytes is what the debug check refuses.
+    #[test]
+    fn one_buffer_under_two_input_names_is_legal() {
+        let f = Func::new("add2")
+            .param("a", [var("n")], DataType::F32, AccessType::Input)
+            .param("b", [var("n")], DataType::F32, AccessType::Input)
+            .param("y", [var("n")], DataType::F32, AccessType::Output)
+            .size_param("n")
+            .body(for_with(
+                "i",
+                0,
+                var("n"),
+                ForProperty::parallel(ParallelScope::OpenMp),
+                store("y", [var("i")], load("a", [var("i")]) + load("b", [var("i")])),
+            ));
+        let n = 1000usize;
+        let a = TensorVal::from_f32(&[n], (0..n).map(|i| i as f32).collect());
+        let mut y = TensorVal::zeros(DataType::F32, &[n]);
+        let shared = a.as_ptr_untyped() as *mut c_void;
+        let mut ptrs = [shared, shared, y.as_mut_ptr_untyped()];
+        let params: Vec<ParamSlot> = f
+            .params
+            .iter()
+            .map(|p| ParamSlot {
+                name: p.name.clone(),
+                dtype: p.dtype,
+                atype: p.atype,
+                shape: vec![n],
+            })
+            .collect();
+        assert_eq!(written_alias(&params, &ptrs), None);
+        assert_eq!(written_alias(&params, &[shared, ptrs[2], shared]), Some((2, 0)));
+        if !cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let eng = CompiledEngine::with_cache_dir(tmp_cache("alias"));
+        let exe = eng
+            .prepare(&f, &HashMap::from([("n".to_string(), n as i64)]))
+            .expect("prepare");
+        exe.kernel.call(&mut ptrs, std::ptr::null_mut(), 0, std::ptr::null_mut());
+        let want: Vec<f64> = (0..n).map(|i| 2.0 * i as f64).collect();
+        assert_eq!(y.to_f64_vec(), want);
     }
 
     #[test]

@@ -22,7 +22,9 @@
 //! * **Fairness** — jobs queue per client and are drained round-robin, so
 //!   one chatty client cannot starve the rest. The queue is bounded;
 //!   overflow is a structured [`ServeError::Overloaded`], not unbounded
-//!   growth.
+//!   growth. A client whose queue empties is forgotten, so the scheduling
+//!   state holds only clients with queued jobs, however many ids come and
+//!   go.
 //! * **Context pooling** — each program key keeps its executable and a
 //!   small pool of recycled [`RunContext`]s. A warm request draws a
 //!   context whose arena, pools and staging buffers are already sized for
@@ -30,11 +32,13 @@
 //!   performs zero tensor heap allocations (`mem.arena.warm_alloc_calls`).
 //!   Digest-mode requests ([`Request::digest_only`]) let the server keep
 //!   the output buffers too, completing the zero-alloc loop.
-//! * **Memory budget** — admission is gated on the memory plan's
-//!   [`run_peak_bytes`](MemPlan::run_peak_bytes): when the sum over
-//!   admitted (queued + executing) jobs would exceed the configured
-//!   budget, the request is rejected with the numbers that said no
-//!   ([`ServeError::OverBudget`]).
+//! * **Memory budget** — admission is gated on the run's peak bytes: the
+//!   prepared executable's [`Executable::run_peak_bytes`] (arena, reduction
+//!   partials of a full OpenMP team, parameters) once the key is warm, the
+//!   memory plan's [`run_peak_bytes`](MemPlan::run_peak_bytes) before.
+//!   When the sum over admitted (queued + executing) jobs would exceed the
+//!   configured budget, the request is rejected with the numbers that said
+//!   no ([`ServeError::OverBudget`]).
 //!
 //! A long-running server's state stays bounded: the key resolutions and
 //! the warm keys (executable + contexts) are LRU maps of fixed capacity,
@@ -314,12 +318,14 @@ struct Job {
 /// with their round-robin ring, admission accounting, and the key
 /// lifecycle.
 struct QueueState {
+    /// Queued jobs of every client that has any; a client whose queue
+    /// empties leaves.
     clients: HashMap<String, VecDeque<Job>>,
-    /// Client ids in first-seen order; the drain cursor walks this ring.
-    ring: Vec<String>,
-    cursor: usize,
+    /// The ids of `clients` in drain order: the front client is served
+    /// next and, if it still has jobs, goes to the back.
+    ring: VecDeque<String>,
     queued: usize,
-    /// Planned-peak bytes of admitted (queued + executing) jobs.
+    /// Peak bytes of admitted (queued + executing) jobs.
     admitted_bytes: u64,
     /// Keys submitted that are not warm yet; a second submission while a
     /// key is here is an in-flight dedup hit. A key leaves when any of its
@@ -420,8 +426,7 @@ impl Server {
             metrics,
             q: Mutex::new(QueueState {
                 clients: HashMap::new(),
-                ring: Vec::new(),
-                cursor: 0,
+                ring: VecDeque::new(),
                 queued: 0,
                 admitted_bytes: 0,
                 compiling: HashSet::new(),
@@ -466,7 +471,7 @@ impl Server {
         let submitted = Instant::now();
         let m = &self.inner.metrics;
         m.counter("serve.requests").inc();
-        let (key, peak_bytes) = self.resolve(&req.func, &req.sizes);
+        let (key, planned_bytes) = self.resolve(&req.func, &req.sizes);
         let (tx, rx) = mpsc::channel();
         {
             let mut q = self.inner.q.lock().unwrap();
@@ -480,6 +485,10 @@ impl Server {
                     cap: self.inner.cfg.queue_cap,
                 });
             }
+            let (warm, peak_bytes) = match q.keys.get_mut(&key) {
+                Some(k) => (k.warm, k.exe.run_peak_bytes()),
+                None => (false, planned_bytes),
+            };
             if let Some(budget) = self.inner.cfg.mem_budget_bytes {
                 if q.admitted_bytes.saturating_add(peak_bytes) > budget {
                     m.counter("serve.rejected.budget").inc();
@@ -490,7 +499,6 @@ impl Server {
                     });
                 }
             }
-            let warm = q.keys.get_mut(&key).is_some_and(|k| k.warm);
             if !warm && !q.compiling.insert(key) {
                 m.counter("serve.inflight_dedup_hits").inc();
             }
@@ -509,7 +517,7 @@ impl Server {
             match q.clients.get_mut(client) {
                 Some(jobs) => jobs.push_back(job),
                 None => {
-                    q.ring.push(client.to_string());
+                    q.ring.push_back(client.to_string());
                     q.clients.insert(client.to_string(), VecDeque::from([job]));
                 }
             }
@@ -522,7 +530,7 @@ impl Server {
         Ok(rx)
     }
 
-    /// The content key and planned peak bytes of `func` at `sizes`,
+    /// The content key and memory-plan peak bytes of `func` at `sizes`,
     /// computed once per `Arc` and size set. A lookup compares the sizes
     /// in place and allocates nothing.
     fn resolve(&self, func: &Arc<Func>, sizes: &HashMap<String, i64>) -> (u64, u64) {
@@ -589,8 +597,9 @@ impl Drop for Server {
             q.shutdown = true;
             // Fail queued jobs instead of silently dropping their reply
             // channels.
-            for (_, jobs) in q.clients.iter_mut() {
-                for j in jobs.drain(..) {
+            q.ring.clear();
+            for (_, jobs) in q.clients.drain() {
+                for j in jobs {
                     let _ = j.reply.send(Err(ServeError::ShuttingDown));
                 }
             }
@@ -603,24 +612,20 @@ impl Drop for Server {
     }
 }
 
-/// Pop the next job in round-robin client order. Caller holds the queue
-/// lock.
+/// Pop the next job in round-robin client order, forgetting the client if
+/// that was its last job. Caller holds the queue lock.
 fn pop_round_robin(q: &mut QueueState, m: &Metrics) -> Option<Job> {
-    if q.queued == 0 || q.ring.is_empty() {
-        return None;
+    let client = q.ring.pop_front()?;
+    let jobs = q.clients.get_mut(&client).expect("ring clients have queues");
+    let job = jobs.pop_front().expect("ring clients have jobs");
+    if jobs.is_empty() {
+        q.clients.remove(&client);
+    } else {
+        q.ring.push_back(client);
     }
-    let n = q.ring.len();
-    for step in 0..n {
-        let idx = (q.cursor + step) % n;
-        let client = &q.ring[idx];
-        if let Some(job) = q.clients.get_mut(client).and_then(VecDeque::pop_front) {
-            q.cursor = (idx + 1) % n;
-            q.queued -= 1;
-            m.gauge("serve.queue_depth").set(q.queued as i64);
-            return Some(job);
-        }
-    }
-    None
+    q.queued -= 1;
+    m.gauge("serve.queue_depth").set(q.queued as i64);
+    Some(job)
 }
 
 fn worker_loop(inner: &Inner) {
@@ -808,6 +813,37 @@ mod tests {
         assert_eq!(s.counter("serve.ok"), 5);
     }
 
+    /// Ten thousand clients that each send one job leave nothing behind
+    /// once their jobs drain.
+    #[test]
+    fn drained_clients_are_forgotten() {
+        if !ft_runtime::cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        let n = 10_000;
+        let srv = manual_server(ServeConfig {
+            workers: 0,
+            queue_cap: n,
+            ..ServeConfig::default()
+        });
+        let f = fill("oneshot", 4, 1.0);
+        let rxs: Vec<_> = (0..n)
+            .map(|i| srv.submit(&format!("client-{i}"), req(&f).digest()).expect("admitted"))
+            .collect();
+        {
+            let q = srv.inner.q.lock().unwrap();
+            assert_eq!((q.clients.len(), q.ring.len()), (n, n));
+        }
+        while srv.pump_one() {}
+        for rx in rxs {
+            rx.recv().unwrap().expect("job ok");
+        }
+        let q = srv.inner.q.lock().unwrap();
+        assert!(q.clients.is_empty() && q.ring.is_empty());
+        assert_eq!(q.queued, 0);
+    }
+
     #[test]
     fn backpressure_is_a_structured_error() {
         if !ft_runtime::cc_available() {
@@ -863,6 +899,57 @@ mod tests {
         srv.submit("a", req(&f)).expect("fits after release");
         let s = srv.metrics().snapshot();
         assert_eq!(s.counter("serve.rejected.budget"), 1);
+    }
+
+    /// Once a key is warm, admission charges the executable's peak bytes,
+    /// which include the reduction partials of a full OpenMP team.
+    #[test]
+    fn warm_admission_counts_reduction_partials() {
+        if !ft_runtime::cc_available() {
+            eprintln!("cc unavailable; skipping");
+            return;
+        }
+        // `h[i % 4] += 1` under a parallel loop: privatized per thread.
+        let reduce = ft_ir::Stmt::new(ft_ir::StmtKind::ReduceTo {
+            var: "h".to_string(),
+            indices: vec![var("i") % 4],
+            op: ft_ir::ReduceOp::Add,
+            value: ft_ir::Expr::FloatConst(1.0),
+            atomic: true,
+        });
+        let f = Arc::new(
+            Func::new("hist")
+                .param("h", [4], DataType::F32, AccessType::Output)
+                .body(for_with(
+                    "i",
+                    0,
+                    64,
+                    ft_ir::ForProperty::parallel(ft_ir::ParallelScope::OpenMp),
+                    reduce,
+                )),
+        );
+        let no_sizes = HashMap::new();
+        let planned = MemPlan::plan(&f, &no_sizes).run_peak_bytes(&f, &no_sizes);
+        let srv = manual_server(ServeConfig {
+            workers: 0,
+            mem_budget_bytes: Some(planned),
+            ..ServeConfig::default()
+        });
+        let rx = srv.submit("a", req(&f)).expect("cold: the plan fits");
+        assert!(srv.pump_one());
+        match rx.recv().unwrap().expect("runs").payload {
+            Payload::Tensors(outs) => assert_eq!(outs["h"].to_f64_vec(), vec![16.0; 4]),
+            Payload::Digest(_) => panic!("tensor mode"),
+        }
+        let warm = srv.inner.engine.prepare(&f, &no_sizes).expect("memo hit");
+        match srv.submit("a", req(&f)) {
+            Err(ServeError::OverBudget {
+                requested_bytes, ..
+            }) => assert_eq!(requested_bytes, warm.run_peak_bytes()),
+            // A one-thread team needs no partials.
+            Ok(_) => assert_eq!(warm.run_peak_bytes(), planned),
+            Err(e) => panic!("{e}"),
+        }
     }
 
     #[test]
